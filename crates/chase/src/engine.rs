@@ -34,10 +34,11 @@
 //! the engine therefore runs under a budget ([`ChaseConfig`]) and reports how
 //! it stopped ([`ChaseOutcome`]).
 
+use crate::layered::TriggerKeySet;
 use crate::provenance::DerivationGraph;
 use crate::trigger::{
-    find_rule_triggers, find_rule_triggers_delta_with, find_rule_triggers_with, RulePlan,
-    StagedEdge, Trigger, TriggerKey,
+    find_rule_triggers, find_rule_triggers_delta_with, find_rule_triggers_with, RulePlan, Trigger,
+    TriggerKey,
 };
 use ontorew_model::prelude::*;
 use ontorew_telemetry::{global_registry, span, Counter, Gauge, Histogram};
@@ -214,7 +215,9 @@ pub struct ChaseResult {
     /// search per key, within a round and across rounds — and the state an
     /// incremental continuation ([`chase_incremental`]) seeds from so it
     /// neither re-fires a frontier image nor re-checks a retired head.
-    pub fired_keys: HashSet<TriggerKey>,
+    /// Empty when `provenance` is recorded: key and edge are one-to-one
+    /// there, so the graph's key index holds the verdicts instead.
+    pub fired_keys: TriggerKeySet,
     /// The derivation graph of the run, recorded when
     /// [`ChaseConfig::track_provenance`] is set (`None` otherwise). Base
     /// facts are the input database; each edge records one retired trigger
@@ -252,7 +255,7 @@ pub fn chase(program: &TgdProgram, database: &Instance, config: &ChaseConfig) ->
         &plans,
         database.clone(),
         None,
-        HashSet::new(),
+        TriggerKeySet::default(),
         graph,
         false,
         config,
@@ -344,13 +347,17 @@ pub fn chase_incremental(
     delta: &Instance,
     config: &ChaseConfig,
 ) -> IncrementalChase {
+    let mut run_span = span("chase.incremental");
+    run_span.attr("delta", delta.len());
     let config = ChaseConfig {
         strategy: ChaseStrategy::SemiNaive,
         ..*config
     };
     let plans: Vec<RulePlan> = program.iter().map(RulePlan::new).collect();
     // O(#segments) when the base instance is frozen — the planner freezes
-    // cached materializations for exactly this reason.
+    // cached materializations for exactly this reason. The graph and the
+    // key set are layered the same way: the clones share every frozen
+    // layer of the base and the continuation writes into a fresh top.
     let mut instance = base.instance.clone();
     // The continuation extends the base's derivation graph (when both the
     // config asks for provenance and the base recorded one): inserted delta
@@ -361,24 +368,40 @@ pub fn chase_incremental(
     } else {
         None
     };
+    let fired_keys = match (&graph, &base.provenance) {
+        // The one place verdicts are copied: a provenance-tracked base
+        // continued *without* provenance has its keys only in the graph.
+        (None, Some(recorded)) => {
+            let mut keys = TriggerKeySet::default();
+            for edge in recorded.edges() {
+                keys.insert(edge.rule, edge.frontier_image);
+            }
+            keys
+        }
+        _ => base.fired_keys.clone(),
+    };
     let mut seed = Instance::new();
     for atom in delta.atoms() {
-        if instance.insert(atom.clone()) {
-            seed.insert(atom.clone());
-        }
         if let Some(g) = graph.as_mut() {
-            g.intern(&atom, true);
+            g.assert_base(&atom);
+        }
+        if instance.insert(atom.clone()) {
+            seed.insert(atom);
         }
     }
     if seed.is_empty() {
-        // Every delta fact was already present: the base state is final.
+        // Every delta fact was already present: the base state is final
+        // (up to the assertions just recorded).
+        if let Some(g) = graph.as_mut() {
+            g.freeze();
+        }
         return IncrementalChase {
             result: ChaseResult {
                 instance,
                 rounds: 0,
                 fired: 0,
                 outcome: base.outcome,
-                fired_keys: base.fired_keys.clone(),
+                fired_keys,
                 provenance: graph.or_else(|| base.provenance.clone()),
             },
             added: Instance::new(),
@@ -390,13 +413,14 @@ pub fn chase_incremental(
         &plans,
         instance,
         Some(seed),
-        base.fired_keys.clone(),
+        fired_keys,
         graph,
         true,
         &config,
         sequential_round_search(program, &plans, &config),
     );
     added.extend_from(&derived);
+    run_span.attr("added", added.len());
     IncrementalChase { result, added }
 }
 
@@ -410,21 +434,23 @@ pub fn chase_incremental(
 /// `initial_delta` controls round 1: `None` means "the delta is the whole
 /// instance" (a fresh chase, where a plain full search finds the same
 /// triggers cheaper), `Some(seed)` restricts even the first round to
-/// triggers using the seed (an incremental continuation). `fired_keys`
-/// seeds the per-(rule, frontier image) verdict cache: a key in the set has
-/// fired or been found satisfied before — within a round, across rounds, or
-/// in the base run a continuation extends — and is never checked again
-/// (satisfaction is monotone: the instance only grows). Returns the result
-/// together with the instance of facts inserted during this run — tracked
-/// only when `track_added` is set (the incremental continuation needs it;
-/// a fresh chase should not pay the extra copy per derived fact).
+/// triggers using the seed (an incremental continuation). The per-(rule,
+/// frontier image) verdict cache is the key index of `graph` when one is
+/// recorded and `fired_keys` otherwise: a retired key has fired or been
+/// found satisfied before — within a round, across rounds, or in the base
+/// run a continuation extends — and is never checked again (satisfaction is
+/// monotone: the instance only grows). Returns the result, its graph and
+/// key set frozen so the next continuation shares them, together with the
+/// instance of facts inserted during this run — tracked only when
+/// `track_added` is set (the incremental continuation needs it; a fresh
+/// chase should not pay the extra copy per derived fact).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chase_rounds(
     program: &TgdProgram,
     plans: &[RulePlan],
     initial: Instance,
     initial_delta: Option<Instance>,
-    mut fired_keys: HashSet<TriggerKey>,
+    mut fired_keys: TriggerKeySet,
     mut graph: Option<DerivationGraph>,
     track_added: bool,
     config: &ChaseConfig,
@@ -440,31 +466,23 @@ pub(crate) fn run_chase_rounds(
     // chase); afterwards the delta is the set of facts the previous round
     // derived. Only the semi-naive strategy reads it.
     let mut delta: Option<Instance> = initial_delta;
+    let mut frontier_image: Vec<Term> = Vec::new();
 
-    loop {
+    let outcome = 'rounds: loop {
         if rounds >= config.max_rounds {
-            return (
-                ChaseResult {
-                    instance,
-                    rounds,
-                    fired,
-                    outcome: ChaseOutcome::RoundBudgetExhausted,
-                    fired_keys,
-                    provenance: graph,
-                },
-                added,
-            );
+            break ChaseOutcome::RoundBudgetExhausted;
         }
         rounds += 1;
 
         // Collect the facts produced in this round, firing against the
         // instance as it stood at the beginning of the round (breadth-first,
-        // level-saturating strategy — a fair firing order). When provenance
-        // is on, the round's edges are staged here and committed to the
-        // graph only after the insert loop below survives the fact budget —
-        // a budget-exhausted run keeps `outcome != Terminated`, which is
-        // what tells `chase_retract` the graph cannot be trusted as a full
-        // account of the instance.
+        // level-saturating strategy — a fair firing order). With provenance
+        // on, every verdict is recorded as an edge right away — the graph's
+        // key index is what deduplicates the rest of the round. A round cut
+        // short by the fact budget leaves edges whose conclusions were not
+        // all inserted; `outcome != Terminated` is what tells
+        // `chase_retract` the graph cannot be trusted as a full account of
+        // the instance.
         let mut round_span = span("chase.round");
         let triggers = search_round(&instance, delta.as_ref());
         metrics.rounds.inc();
@@ -474,61 +492,65 @@ pub(crate) fn run_chase_rounds(
         let fired_before = fired;
         let len_before = instance.len();
         let mut new_facts: Vec<Atom> = Vec::new();
-        let mut pending_edges: Vec<StagedEdge> = Vec::new();
         for trigger in triggers {
             let rule = &program.rules()[trigger.rule_index];
             let plan = &plans[trigger.rule_index];
-            let key = trigger.key_with(&plan.frontier);
+            frontier_image.clear();
+            frontier_image.extend(
+                plan.frontier
+                    .iter()
+                    .map(|v| trigger.homomorphism.apply_term(Term::Variable(*v))),
+            );
             // The per-key cache: triggers sharing a (rule, frontier image)
             // — several homomorphisms differing only in non-frontier
             // variables, possibly returned by different chunks of the
             // partitioned parallel search — get exactly one satisfaction
-            // check and one firing between them.
-            if fired_keys.contains(&key) {
+            // check and one firing between them. For the restricted chase a
+            // satisfied trigger is retired as well: its head is already
+            // entailed, so it never needs to fire later (the instance only
+            // grows).
+            let retired = match graph.as_ref() {
+                Some(g) => g.has_key(trigger.rule_index, &frontier_image),
+                None => !fired_keys.insert(trigger.rule_index, &frontier_image),
+            };
+            if retired {
                 continue;
             }
             // A satisfied restricted trigger never fires, but with
             // provenance on its satisfying head image is recorded as a
             // *witness edge*: the alternative derivation a later retraction
             // must know about before deleting one of the head facts.
-            let (fire, witness) = match (config.variant, graph.is_some()) {
-                (ChaseVariant::Oblivious, _) => (true, None),
+            let witness = match (config.variant, graph.is_some()) {
+                (ChaseVariant::Oblivious, _) => None,
                 (ChaseVariant::Restricted, false) => {
-                    (trigger.is_active_planned(plan, &instance), None)
-                }
-                (ChaseVariant::Restricted, true) => {
-                    match trigger.satisfying_image(plan, &instance) {
-                        None => (true, None),
-                        Some(image) => (false, Some(image)),
+                    if !trigger.is_active_planned(plan, &instance) {
+                        continue;
                     }
+                    None
                 }
+                (ChaseVariant::Restricted, true) => trigger.satisfying_image(plan, &instance),
             };
-            if fire {
-                let produced = trigger.fire_with(&rule.head, &plan.existentials);
-                if graph.is_some() {
-                    pending_edges.push((
-                        trigger.rule_index,
-                        key.clone(),
-                        trigger.homomorphism.apply_atoms(&rule.body),
-                        produced.clone(),
-                        false,
-                    ));
-                }
+            let produced = match &witness {
+                Some(_) => None,
+                None => Some(trigger.fire_with(&rule.head, &plan.existentials)),
+            };
+            if let Some(g) = graph.as_mut() {
+                g.record_edge(
+                    trigger.rule_index,
+                    &frontier_image,
+                    &rule.body,
+                    &trigger.homomorphism,
+                    produced
+                        .as_deref()
+                        .or(witness.as_deref())
+                        .expect("one of the two"),
+                    witness.is_some(),
+                );
+            }
+            if let Some(produced) = produced {
                 new_facts.extend(produced);
                 fired += 1;
-            } else if let Some(image) = witness {
-                pending_edges.push((
-                    trigger.rule_index,
-                    key.clone(),
-                    trigger.homomorphism.apply_atoms(&rule.body),
-                    image,
-                    true,
-                ));
             }
-            // For the restricted chase, a satisfied trigger is recorded as
-            // fired as well: its head is already entailed, so it never
-            // needs to fire later (the instance only grows).
-            fired_keys.insert(key);
         }
 
         metrics.triggers_fired.add((fired - fired_before) as u64);
@@ -565,26 +587,7 @@ pub(crate) fn run_chase_rounds(
                 }
             }
             if instance.len() > config.max_facts {
-                // This round's pending edges are dropped; the non-Terminated
-                // outcome marks the graph as a partial account.
-                return (
-                    ChaseResult {
-                        instance,
-                        rounds,
-                        fired,
-                        outcome: ChaseOutcome::FactBudgetExhausted,
-                        fired_keys,
-                        provenance: graph,
-                    },
-                    added,
-                );
-            }
-        }
-
-        // The whole round was inserted within budget: commit its edges.
-        if let Some(g) = graph.as_mut() {
-            for (rule_index, key, premises, conclusions, satisfied) in pending_edges.drain(..) {
-                g.add_edge(rule_index, key, &premises, &conclusions, satisfied);
+                break 'rounds ChaseOutcome::FactBudgetExhausted;
             }
         }
 
@@ -594,20 +597,26 @@ pub(crate) fn run_chase_rounds(
         round_span.attr("derived", derived);
 
         if !grew {
-            return (
-                ChaseResult {
-                    instance,
-                    rounds,
-                    fired,
-                    outcome: ChaseOutcome::Terminated,
-                    fired_keys,
-                    provenance: graph,
-                },
-                added,
-            );
+            break ChaseOutcome::Terminated;
         }
         delta = Some(next_delta);
+    };
+
+    fired_keys.freeze();
+    if let Some(g) = graph.as_mut() {
+        g.freeze();
     }
+    (
+        ChaseResult {
+            instance,
+            rounds,
+            fired,
+            outcome,
+            fired_keys,
+            provenance: graph,
+        },
+        added,
+    )
 }
 
 /// Check whether `instance` satisfies every TGD of `program` (i.e. it is a

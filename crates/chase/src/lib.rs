@@ -13,9 +13,12 @@
 //! * [`parallel`] — crossbeam-parallel trigger search for large instances;
 //! * [`equiv`] — comparing chased instances up to null renaming (used by the
 //!   naive-vs-semi-naive equivalence tests);
-//! * [`provenance`] — stable fact ids and the derivation graph recorded
-//!   behind [`ChaseConfig::track_provenance`], with the `WHY` / `WHY NOT`
-//!   explanation walks;
+//! * [`layered`] — the persistent layer stack (frozen `Arc`-shared layers
+//!   under a mutable top, size-tiered merge) the derivation graph and the
+//!   retired-key set are built on;
+//! * [`provenance`] — stable fact ids and the layered, indexed derivation
+//!   graph recorded behind [`ChaseConfig::track_provenance`], with the
+//!   `WHY` / `WHY NOT` explanation walks;
 //! * [`retract`] — incremental deletion by delete-and-rederive (DRed) over
 //!   the derivation graph.
 
@@ -25,6 +28,7 @@
 pub mod certain;
 pub mod engine;
 pub mod equiv;
+pub mod layered;
 pub mod parallel;
 pub mod provenance;
 pub mod retract;
@@ -37,12 +41,14 @@ pub use engine::{
     ChaseVariant, IncrementalChase,
 };
 pub use equiv::{equivalent_up_to_null_renaming, homomorphically_equivalent};
+pub use layered::TriggerKeySet;
 pub use parallel::{
     chase_parallel, find_triggers_delta_parallel, find_triggers_parallel,
     find_triggers_parallel_with,
 };
 pub use provenance::{
-    explain_absent, DerivationEdge, DerivationGraph, FactId, WhyNot, WhyNotCandidate, WhyStep,
+    explain_absent, DerivationEdge, DerivationGraph, EdgeId, FactId, WhyNot, WhyNotCandidate,
+    WhyStep,
 };
 pub use retract::{chase_retract, RetractedChase};
 pub use termination::{is_weakly_acyclic, DependencyGraph, DependencyPosition};

@@ -26,7 +26,6 @@ use crate::trigger::{
 use ontorew_model::prelude::*;
 use ontorew_telemetry::{global_registry, Histogram};
 use ontorew_unify::JoinStrategy;
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// Slices produced per parallel delta search — how finely the round's work
@@ -218,7 +217,7 @@ pub fn chase_parallel(
         &plans,
         database.clone(),
         None,
-        HashSet::new(),
+        crate::layered::TriggerKeySet::default(),
         graph,
         false,
         config,

@@ -3,28 +3,40 @@
 //!
 //! [`chase_retract`] removes a set of asserted (base) facts from a finished,
 //! provenance-tracked chase and repairs the materialization without
-//! re-chasing from scratch:
+//! re-chasing from scratch. Every step is a worklist over the graph's
+//! adjacency indexes, so the work is proportional to the facts and edges the
+//! retraction can reach — never to the graph:
 //!
-//! 1. **Overdelete** — the downward closure of the removed facts through the
-//!    *fired* edges of the [`crate::DerivationGraph`] is marked doomed (a
+//! 1. **Overdelete** — the downward closure of the removed facts along the
+//!    *uses* index (fact → edges with it as a premise) is marked doomed (a
 //!    deliberate overapproximation: a doomed fact may have other support).
-//! 2. **Rederive** — a well-founded fixpoint revives doomed facts with a
-//!    surviving alternative derivation. Reviver edges are all fired edges
-//!    (replaying an existential firing keeps its recorded nulls — sound, the
-//!    result stays a universal model) plus the *witness* edges of
-//!    existential-free rules (their head image is exactly what firing would
-//!    produce). Witness edges of existential rules never revive directly:
-//!    their image may contain terms the premises do not justify.
-//! 3. **Reprocess dropped keys** — every trigger key whose recorded edge
-//!    died is re-examined against the repaired instance: if the rule body
-//!    still matches the key's frontier image, the trigger is re-fired (or a
-//!    new witness is recorded under the restricted variant). This covers the
-//!    derivations the original run never recorded — e.g. a second body
-//!    homomorphism sharing the frontier image of an edge that died, or a
-//!    restricted trigger whose satisfying witness was deleted.
-//! 4. **Continue** — the refired facts seed an ordinary semi-naive
+//! 2. **Rederive** — doomed facts with a surviving alternative derivation
+//!    are revived: first by probing the *derivers* (fact → edges concluding
+//!    it) of each doomed fact, then by following the uses of every revived
+//!    fact. The reviving edge becomes the fact's new support, so supports
+//!    stay well-founded: a revived fact rests on undoomed facts and on facts
+//!    revived before it. Reviver edges are all fired edges (replaying an
+//!    existential firing keeps its recorded nulls — sound, the result stays
+//!    a universal model) plus the *witness* edges of existential-free rules
+//!    (their head image is exactly what firing would produce). Witness edges
+//!    of existential rules never revive directly: their image may contain
+//!    terms the premises do not justify.
+//! 3. **Prune** — only the edges touching a dead fact are tombstoned; the
+//!    trigger keys they retired are *dropped* (the verdict is stale).
+//! 4. **Reprocess dropped keys** — every dropped key is re-examined against
+//!    the repaired instance: if the rule body still matches the key's
+//!    frontier image, the trigger is re-fired (or a new witness is recorded
+//!    under the restricted variant). This covers the derivations the
+//!    original run never recorded — e.g. a second body homomorphism sharing
+//!    the frontier image of an edge that died, or a restricted trigger whose
+//!    satisfying witness was deleted.
+//! 5. **Continue** — the refired facts seed an ordinary semi-naive
 //!    continuation (`crate::engine::run_chase_rounds`), closing the
 //!    instance under the program again.
+//!
+//! The repair is written into a fresh top layer over the base's graph
+//! (tombstones, withdrawn assertions and re-elected supports as an overlay),
+//! so the base stays valid and shares its layers with the result.
 //!
 //! Equivalence to a scratch chase over (inputs − removed): exact up to null
 //! renaming for Datalog programs and for the semi-oblivious variant (firing
@@ -39,11 +51,13 @@ use crate::engine::{
     chase, run_chase_rounds, sequential_round_search, ChaseConfig, ChaseOutcome, ChaseResult,
     ChaseStrategy, ChaseVariant,
 };
-use crate::provenance::FactId;
-use crate::trigger::{RulePlan, StagedEdge, Trigger, TriggerKey};
+use crate::layered::TriggerKeySet;
+use crate::provenance::{DerivationEdge, EdgeId, FactId};
+use crate::trigger::{RulePlan, Trigger, TriggerKey};
 use ontorew_model::prelude::*;
+use ontorew_telemetry::span;
 use ontorew_unify::find_homomorphism;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// The result of an incremental retraction (see [`chase_retract`]).
 #[derive(Clone, Debug)]
@@ -54,6 +68,11 @@ pub struct RetractedChase {
     /// Facts actually removed from the instance (requested base facts plus
     /// cascaded derived facts, minus everything rederived).
     pub removed: usize,
+    /// The facts behind `removed`: what left the instance.
+    pub removed_facts: Vec<Atom>,
+    /// Facts that entered the instance: re-fired heads plus everything the
+    /// continuation derived from them.
+    pub added: Instance,
     /// Size of the overdeleted downward closure (before rederivation).
     pub overdeleted: usize,
     /// Doomed facts revived because an alternative derivation survived.
@@ -87,6 +106,8 @@ pub fn chase_retract(
         "chase_retract requires a derivation graph: run the base chase with \
          ChaseConfig::track_provenance enabled (with_provenance(true))",
     );
+    let mut run_span = span("chase.retract");
+    run_span.attr("delta", removed.len());
     let config = ChaseConfig {
         strategy: ChaseStrategy::SemiNaive,
         track_provenance: true,
@@ -95,16 +116,13 @@ pub fn chase_retract(
     if base.outcome != ChaseOutcome::Terminated {
         // The graph may be missing the edges of a budget-truncated round:
         // rebuild from the surviving asserted facts instead.
-        let mut db = Instance::new();
-        for atom in base_graph.base_facts() {
-            if !removed.contains(atom) {
-                db.insert(atom.clone());
-            }
-        }
+        let db = Instance::from_atoms(base_graph.base_facts().filter(|a| !removed.contains(a)));
         let result = chase(program, &db, &config);
         return RetractedChase {
             result,
             removed: removed.len(),
+            removed_facts: removed.atoms().collect(),
+            added: Instance::new(),
             overdeleted: 0,
             rederived: 0,
             refired: 0,
@@ -112,113 +130,117 @@ pub fn chase_retract(
         };
     }
 
+    // O(#layers): the clone shares every frozen layer of the base. The
+    // freeze is a no-op on the graphs the chase entry points return; it
+    // guarantees the adjacency indexes cover every recorded edge.
     let mut graph = base_graph.clone();
+    graph.freeze();
     let plans: Vec<RulePlan> = program.iter().map(RulePlan::new).collect();
-    let n = graph.atoms.len();
 
     // 1. Withdraw the assertions. Only live base facts seed the overdelete;
     // a derived-only fact cannot be retracted (it is entailed regardless).
-    let mut doomed = vec![false; n];
+    // `doomed[fact]` is `None` while the fact is condemned and `Some(edge)`
+    // once `edge` rederived it.
+    let mut doomed: HashMap<FactId, Option<EdgeId>> = HashMap::new();
+    let mut queue: Vec<FactId> = Vec::new();
     for atom in removed.atoms() {
         if let Some(id) = graph.id_of(&atom) {
-            if graph.base[id as usize] {
-                graph.base[id as usize] = false;
-                doomed[id as usize] = true;
+            if graph.withdraw(id) {
+                doomed.insert(id, None);
+                queue.push(id);
             }
         }
     }
 
-    // 2. Overdelete: close doomed downward through every edge — fired edges
-    // because their conclusions were genuinely derived from the premises,
-    // and witness edges because an earlier retraction may have left one as a
-    // fact's only recorded support (a withdrawn assertion that stayed
-    // because the witness rederived it). Overdeleting through a witness edge
-    // is only ever an overapproximation: its conclusions all have their own
-    // legitimate edges, which the rederivation pass consults. Facts still
-    // asserted (base) are never doomed by cascade.
-    loop {
-        let mut grew = false;
-        for edge in &graph.edges {
-            if !edge.premises.iter().any(|&p| doomed[p as usize]) {
-                continue;
-            }
-            for &c in &edge.conclusions {
-                if graph.alive[c as usize] && !graph.base[c as usize] && !doomed[c as usize] {
-                    doomed[c as usize] = true;
-                    grew = true;
+    // 2. Overdelete: close doomed downward through every edge using a doomed
+    // premise — fired edges because their conclusions were genuinely derived
+    // from the premises, and witness edges because an earlier retraction may
+    // have left one as a fact's only recorded support (a withdrawn assertion
+    // that stayed because the witness rederived it). Overdeleting through a
+    // witness edge is only ever an overapproximation: its conclusions all
+    // have their own legitimate edges, which the rederivation pass consults.
+    // Facts still asserted (base) are never doomed by cascade.
+    while let Some(fact) = queue.pop() {
+        for edge in graph.uses(fact) {
+            for &conclusion in graph.edge(edge).conclusions {
+                let state = graph.state(conclusion);
+                if state.alive && !state.base && doomed.insert(conclusion, None).is_none() {
+                    queue.push(conclusion);
                 }
             }
         }
-        if !grew {
-            break;
+    }
+    let overdeleted = doomed.len();
+
+    // 3. Rederive: an edge revives its doomed conclusions when all its
+    // premises are supported — undoomed (a live edge has live premises) or
+    // revived earlier. Growth is monotone from the undoomed facts, so no
+    // doomed fact can support itself through a cycle. Candidates are the
+    // derivers of the doomed facts, then the uses of each revived fact.
+    let revives = |edge: &DerivationEdge<'_>, doomed: &HashMap<FactId, Option<EdgeId>>| {
+        (!edge.satisfied || plans[edge.rule].existentials.is_empty())
+            && edge
+                .premises
+                .iter()
+                .all(|p| doomed.get(p).is_none_or(|revived| revived.is_some()))
+    };
+    let mut condemned: Vec<FactId> = doomed.keys().copied().collect();
+    condemned.sort_unstable();
+    for &fact in &condemned {
+        if let Some(edge) = graph
+            .derivers(fact)
+            .find(|&edge| revives(&graph.edge(edge), &doomed))
+        {
+            doomed.insert(fact, Some(edge));
+            queue.push(fact);
         }
     }
-    let overdeleted = doomed.iter().filter(|&&d| d).count();
-
-    // 3. Rederive: a well-founded support fixpoint from the undoomed facts.
-    // An edge revives its doomed conclusions when all its premises are
-    // supported; growth is monotone from the undoomed base, so no doomed
-    // fact can support itself through a cycle.
-    let mut supported: Vec<bool> = (0..n).map(|id| graph.alive[id] && !doomed[id]).collect();
-    let mut rederived = 0usize;
-    loop {
-        let mut grew = false;
-        for edge in &graph.edges {
-            let revivable = !edge.satisfied || plans[edge.rule as usize].existentials.is_empty();
-            if !revivable || !edge.premises.iter().all(|&p| supported[p as usize]) {
+    while let Some(fact) = queue.pop() {
+        for edge in graph.uses(fact) {
+            let recorded = graph.edge(edge);
+            if !revives(&recorded, &doomed) {
                 continue;
             }
-            for &c in &edge.conclusions {
-                if graph.alive[c as usize] && doomed[c as usize] && !supported[c as usize] {
-                    supported[c as usize] = true;
-                    rederived += 1;
-                    grew = true;
+            for &conclusion in recorded.conclusions {
+                if doomed.get(&conclusion) == Some(&None) {
+                    doomed.insert(conclusion, Some(edge));
+                    queue.push(conclusion);
                 }
             }
         }
-        if !grew {
-            break;
-        }
     }
 
-    // 4. Tombstone the dead facts and remove them from the instance.
-    let dead_ids: Vec<FactId> = (0..n)
-        .filter(|&id| graph.alive[id] && doomed[id] && !supported[id])
-        .map(|id| id as FactId)
-        .collect();
-    let dead_atoms: Vec<Atom> = dead_ids.iter().map(|&id| graph.atom(id).clone()).collect();
-    for &id in &dead_ids {
-        graph.alive[id as usize] = false;
+    // 4. Settle the verdicts: revived facts take their reviving edge as
+    // support, the rest are tombstoned and leave the instance.
+    let mut dead: Vec<FactId> = Vec::new();
+    for &fact in &condemned {
+        match doomed[&fact] {
+            Some(edge) => graph.set_support(fact, edge),
+            None => {
+                graph.kill_fact(fact);
+                dead.push(fact);
+            }
+        }
     }
+    let rederived = overdeleted - dead.len();
+    let removed_facts: Vec<Atom> = dead.iter().map(|&id| graph.atom(id)).collect();
     let mut instance = base.instance.clone();
-    let removed_facts = instance.remove_atoms(dead_atoms.iter());
+    let removed_count = instance.remove_atoms(removed_facts.iter());
 
     // 5. Prune the graph: an edge survives only if every premise and every
-    // conclusion is still alive. The keys of dead edges are *dropped* —
-    // their verdict is stale — and the surviving edges rebuild the retired
-    // key set (key ↔ edge is one-to-one in a provenance-tracked run).
+    // conclusion is still alive, so exactly the edges adjacent to a dead
+    // fact go. Their keys are *dropped* — the verdict is stale.
     let mut dropped: Vec<TriggerKey> = Vec::new();
-    let mut kept = Vec::with_capacity(graph.edges.len());
-    for edge in graph.edges.drain(..) {
-        let intact = edge
-            .premises
-            .iter()
-            .chain(edge.conclusions.iter())
-            .all(|&id| graph.alive[id as usize]);
-        if intact {
-            kept.push(edge);
-        } else {
-            dropped.push(edge.key.clone());
+    for &fact in &dead {
+        let touching: Vec<EdgeId> = graph.uses(fact).chain(graph.derivers(fact)).collect();
+        for edge in touching {
+            if graph.kill_edge(edge) {
+                dropped.push(graph.edge(edge).key());
+            }
         }
     }
-    graph.edges = kept;
-    // Steps 1–5 mutated base/alive/edges directly: the memoized supported
-    // set (if the cloned source graph carried one) is stale.
-    graph.invalidate_support_cache();
-    let mut fired_keys: HashSet<TriggerKey> = graph.edges.iter().map(|e| e.key.clone()).collect();
     dropped.sort();
     dropped.dedup();
-    dropped.retain(|key| !fired_keys.contains(key));
 
     // 6. Reprocess the dropped keys against the repaired instance. The
     // original run may have skipped alternative derivations sharing a key
@@ -228,7 +250,6 @@ pub fn chase_retract(
     // the stage-start instance, insertions land afterwards.
     let mut refired = 0usize;
     let mut new_facts: Vec<Atom> = Vec::new();
-    let mut pending: Vec<StagedEdge> = Vec::new();
     for key in dropped {
         let rule = &program.rules()[key.rule_index];
         let plan = &plans[key.rule_index];
@@ -248,33 +269,21 @@ pub fn chase_retract(
             ChaseVariant::Oblivious => None,
             ChaseVariant::Restricted => trigger.satisfying_image(plan, &instance),
         };
-        match witness {
-            Some(image) => {
-                pending.push((
-                    key.rule_index,
-                    key.clone(),
-                    trigger.homomorphism.apply_atoms(&rule.body),
-                    image,
-                    true,
-                ));
-            }
-            None => {
-                let produced = trigger.fire_with(&rule.head, &plan.existentials);
-                pending.push((
-                    key.rule_index,
-                    key.clone(),
-                    trigger.homomorphism.apply_atoms(&rule.body),
-                    produced.clone(),
-                    false,
-                ));
-                new_facts.extend(produced);
-                refired += 1;
-            }
+        let satisfied = witness.is_some();
+        let conclusions =
+            witness.unwrap_or_else(|| trigger.fire_with(&rule.head, &plan.existentials));
+        graph.record_edge(
+            key.rule_index,
+            &key.frontier_image,
+            &rule.body,
+            &trigger.homomorphism,
+            &conclusions,
+            satisfied,
+        );
+        if !satisfied {
+            new_facts.extend(conclusions);
+            refired += 1;
         }
-        fired_keys.insert(key);
-    }
-    for (rule_index, key, premises, conclusions, satisfied) in pending {
-        graph.add_edge(rule_index, key, &premises, &conclusions, satisfied);
     }
     let mut refired_delta = Instance::new();
     for fact in new_facts {
@@ -285,33 +294,41 @@ pub fn chase_retract(
 
     // 7. Close under the program again: the refired facts are the seed of an
     // ordinary semi-naive continuation.
+    let mut added = refired_delta.clone();
     let mut result = if refired_delta.is_empty() {
+        graph.freeze();
         ChaseResult {
             instance,
             rounds: 0,
             fired: 0,
             outcome: ChaseOutcome::Terminated,
-            fired_keys,
+            fired_keys: TriggerKeySet::default(),
             provenance: Some(graph),
         }
     } else {
-        let (result, _derived) = run_chase_rounds(
+        let (result, derived) = run_chase_rounds(
             program,
             &plans,
             instance,
             Some(refired_delta),
-            fired_keys,
+            TriggerKeySet::default(),
             Some(graph),
-            false,
+            true,
             &config,
             sequential_round_search(program, &plans, &config),
         );
+        added.extend_from(&derived);
         result
     };
     result.fired += refired;
+    run_span.attr("overdeleted", overdeleted);
+    run_span.attr("rederived", rederived);
+    run_span.attr("refired", refired);
     RetractedChase {
         result,
-        removed: removed_facts,
+        removed: removed_count,
+        removed_facts,
+        added,
         overdeleted,
         rederived,
         refired,

@@ -175,12 +175,6 @@ pub struct TriggerKey {
     pub frontier_image: Vec<Term>,
 }
 
-/// A derivation edge staged during a chase round and committed to the
-/// [`DerivationGraph`](crate::provenance::DerivationGraph) only once the
-/// round survives the fact budget: `(rule index, trigger key, premise
-/// atoms, conclusion atoms, witness-edge flag)`.
-pub(crate) type StagedEdge = (usize, TriggerKey, Vec<Atom>, Vec<Atom>, bool);
-
 /// Enumerate every trigger of `program` on `instance`.
 pub fn find_triggers(program: &TgdProgram, instance: &Instance) -> Vec<Trigger> {
     let mut triggers = Vec::new();

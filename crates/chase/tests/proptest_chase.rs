@@ -370,6 +370,141 @@ proptest! {
         }
     }
 
+    /// Random *chains* of 1–6 alternating insert/delete batches replayed
+    /// through `chase_incremental` / `chase_retract` vs one scratch
+    /// provenance chase of the final base set — the layered graph's
+    /// end-to-end contract: overlays, merges and re-elected supports of one
+    /// stage are what the next stage walks. Checked at fixpoints, under both
+    /// variants: the instances agree (up to null renaming where firing is
+    /// history independent, homomorphically otherwise), every live fact has
+    /// a `why`, and the graph's live counters match the model and the base
+    /// set. Every stage is also checked for **persistence**: continuing from
+    /// a state must leave that state's instance, counters and explanations
+    /// exactly as they were.
+    #[test]
+    fn insert_delete_chains_match_scratch_and_leave_their_bases_intact(
+        program_seed in 0u64..500,
+        data_seed in 0u64..500,
+        stages in 1usize..7,
+        insert_first in prop::sample::select(vec![false, true]),
+        removal_mask in 0u64..u64::MAX,
+        oblivious in prop::sample::select(vec![false, true]),
+        existential_probability in prop::sample::select(vec![0.0, 0.3]),
+    ) {
+        let program = random_program(&RandomProgramConfig {
+            rules: 5,
+            predicates: 5,
+            max_arity: 3,
+            max_body_atoms: 2,
+            existential_probability,
+            seed: program_seed,
+        });
+        let mut asserted = random_abox(&program, &AboxConfig {
+            facts: 8,
+            constants: 5,
+            seed: data_seed,
+        });
+        let config = if oblivious {
+            ChaseConfig::oblivious(5)
+        } else {
+            ChaseConfig::restricted(5)
+        }
+        .with_max_facts(2_000)
+        .with_provenance(true);
+        let mut state = chase(&program, &asserted, &config);
+        prop_assume!(state.is_universal_model());
+
+        // What a state looks like from outside: model, counters, and the
+        // full explanation of every fact.
+        let fingerprint = |state: &ontorew_chase::ChaseResult| {
+            let graph = state.provenance.as_ref().expect("provenance recorded");
+            let mut whys: Vec<String> = state
+                .instance
+                .atoms()
+                .map(|atom| format!("{atom}: {:?}", graph.why(&atom)))
+                .collect();
+            whys.sort();
+            (
+                state.instance.clone(),
+                graph.node_count(),
+                graph.edge_count(),
+                graph.base_fact_count(),
+                whys,
+            )
+        };
+
+        for stage in 0..stages {
+            let before = fingerprint(&state);
+            let insert = (stage % 2 == 0) == insert_first;
+            let next = if insert {
+                let delta = random_abox(&program, &AboxConfig {
+                    facts: 3,
+                    constants: 5,
+                    seed: data_seed + 1_000 * (stage as u64 + 1),
+                });
+                asserted.extend_from(&delta);
+                chase_incremental(&program, &state, &delta, &config).result
+            } else {
+                let removed = Instance::from_atoms(
+                    asserted
+                        .atoms()
+                        .enumerate()
+                        .filter(|(i, _)| removal_mask >> ((i + 7 * stage) % 64) & 1 == 1)
+                        .map(|(_, atom)| atom),
+                );
+                asserted.remove_atoms(removed.atoms().collect::<Vec<_>>().iter());
+                let retracted = chase_retract(&program, &state, &removed, &config);
+                prop_assert!(!retracted.scratch);
+                prop_assert_eq!(
+                    retracted.result.instance.len() + retracted.removed,
+                    state.instance.len() + retracted.added.len()
+                );
+                retracted.result
+            };
+            prop_assume!(next.is_universal_model());
+            // Persistence: the continuation changed nothing its base can
+            // see (these graphs are small enough for the freeze-time merge
+            // to copy base layers — merging must not write into them).
+            prop_assert_eq!(&fingerprint(&state), &before, "stage {} mutated its base", stage);
+            state = next;
+        }
+
+        let oracle = chase(&program, &asserted, &config);
+        prop_assume!(oracle.is_universal_model());
+        prop_assert!(state.instance.contains_instance(&asserted));
+        prop_assert!(is_model(&program, &state.instance));
+        let datalog = program
+            .iter()
+            .all(|r| r.existential_head_variables().is_empty());
+        if datalog || oblivious {
+            prop_assert!(
+                equivalent_up_to_null_renaming(&state.instance, &oracle.instance),
+                "chain differs beyond null renaming:\n{:?}\nvs\n{:?}",
+                state.instance,
+                oracle.instance
+            );
+        } else {
+            prop_assert!(
+                homomorphically_equivalent(&state.instance, &oracle.instance),
+                "chain not homomorphically equivalent to scratch:\n{:?}\nvs\n{:?}",
+                state.instance,
+                oracle.instance
+            );
+        }
+        let graph = state.provenance.as_ref().unwrap();
+        prop_assert_eq!(graph.node_count(), state.instance.len());
+        prop_assert_eq!(graph.base_fact_count(), asserted.len());
+        prop_assert_eq!(graph.base_facts().count(), asserted.len());
+        prop_assert_eq!(graph.edges().count(), graph.edge_count());
+        for atom in state.instance.atoms() {
+            prop_assert!(graph.why(&atom).is_some(), "no why for {}", atom);
+        }
+        if datalog {
+            let fresh = oracle.provenance.as_ref().unwrap();
+            prop_assert_eq!(graph.edge_count(), fresh.edge_count());
+        }
+    }
+
     /// The trigger budget is respected.
     #[test]
     fn fact_budget_bounds_the_instance(db in database_strategy(), budget in 1usize..10) {

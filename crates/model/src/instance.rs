@@ -100,7 +100,9 @@ impl Segment {
                 // A row with this hash exists: either it is this row (a
                 // duplicate insert) or we hit a 64-bit collision and the new
                 // row is interned through the overflow list.
-                if self.rows[*e.get() as usize] == row || self.overflow_contains(hash, &row) {
+                if self.rows[*e.get() as usize] == row
+                    || self.overflow_position(hash, &row).is_some()
+                {
                     return false;
                 }
                 self.dedup_overflow.push((hash, row_id));
@@ -114,18 +116,16 @@ impl Segment {
     }
 
     fn contains_hashed(&self, row: &[Term], hash: u64) -> bool {
-        match self.dedup.get(&hash) {
-            Some(&id) => self.rows[id as usize] == row || self.overflow_contains(hash, row),
-            None => false,
-        }
+        self.position_hashed(row, hash).is_some()
     }
 
-    /// True if some overflow row (same hash, different first-interned row)
-    /// equals `row`.
-    fn overflow_contains(&self, hash: u64, row: &[Term]) -> bool {
+    /// The id of the overflow row (same hash, different first-interned row)
+    /// equal to `row`, if any.
+    fn overflow_position(&self, hash: u64, row: &[Term]) -> Option<u32> {
         self.dedup_overflow
             .iter()
-            .any(|&(h, id)| h == hash && self.rows[id as usize] == row)
+            .find(|&&(h, id)| h == hash && self.rows[id as usize] == row)
+            .map(|&(_, id)| id)
     }
 
     /// Number of rows of this segment whose column `col` equals `value`.
@@ -160,6 +160,63 @@ impl Segment {
             },
             None => SegmentProbe::All(self.rows.iter()),
         }
+    }
+
+    /// A copy of the segment without the rows in `doomed` (ids ascending),
+    /// in unchanged order. Copying the dedup and index tables and patching
+    /// them — drop the doomed ids, renumber the survivors — costs no hashing
+    /// per retained row, which is what makes it several times cheaper than
+    /// re-inserting the survivors into a fresh segment.
+    fn without(&self, doomed: &[u32]) -> Segment {
+        let mut out = self.clone();
+        for &id in doomed {
+            let row = &self.rows[id as usize];
+            let hash = row_hash(row);
+            if let Some(at) = out.dedup_overflow.iter().position(|&e| e == (hash, id)) {
+                out.dedup_overflow.swap_remove(at);
+            } else {
+                // The row owns the slot: hand it to a colliding row, if any.
+                match out.dedup_overflow.iter().position(|&(h, _)| h == hash) {
+                    Some(at) => {
+                        let (_, heir) = out.dedup_overflow.swap_remove(at);
+                        out.dedup.insert(hash, heir);
+                    }
+                    None => {
+                        out.dedup.remove(&hash);
+                    }
+                }
+            }
+            for (col, term) in row.iter().enumerate() {
+                let ids = out.indexes[col].get_mut(term).expect("indexed on insert");
+                ids.retain(|&other| other != id);
+                if ids.is_empty() {
+                    out.indexes[col].remove(term);
+                }
+            }
+        }
+        let renumber = |id: &mut u32| *id -= doomed.partition_point(|&d| d < *id) as u32;
+        out.dedup.values_mut().for_each(renumber);
+        out.dedup_overflow
+            .iter_mut()
+            .for_each(|(_, id)| renumber(id));
+        for index in &mut out.indexes {
+            index.values_mut().flatten().for_each(renumber);
+        }
+        let mut id = 0u32;
+        out.rows.retain(|_| {
+            id += 1;
+            doomed.binary_search(&(id - 1)).is_err()
+        });
+        out
+    }
+
+    /// The id of `row` in this segment, if present.
+    fn position_hashed(&self, row: &[Term], hash: u64) -> Option<u32> {
+        let first = *self.dedup.get(&hash)?;
+        if self.rows[first as usize] == row {
+            return Some(first);
+        }
+        self.overflow_position(hash, row)
     }
 
     /// Merge two segments into one, oldest first (preserving global
@@ -266,36 +323,44 @@ impl IndexedRelation {
             || self.frozen.iter().any(|seg| seg.contains_hashed(row, hash))
     }
 
-    /// Remove every row for which `doomed` returns true; returns how many
-    /// rows were removed. Segments are immutable, so a removal rebuilds the
-    /// whole relation from the retained rows (O(rows)) — callers batch
-    /// removals so each affected relation is rebuilt once per retraction
-    /// epoch, and untouched relations pay nothing.
-    pub fn remove_where(&mut self, mut doomed: impl FnMut(&[Term]) -> bool) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let mut rebuilt = IndexedRelation::with_arity(self.arity());
-        for row in self.rows() {
-            if !doomed(row) {
-                rebuilt.insert(row.clone());
+    /// Remove the given rows; returns how many were present. Segments are
+    /// immutable, so every segment holding a doomed row is replaced by a
+    /// patched copy (see `Segment::without`), while the segments that hold
+    /// none — the large old ones, when recently inserted rows are removed —
+    /// stay shared with every clone. Costs one dedup probe per (row,
+    /// segment) plus a copy of the segments hit; callers batch removals so
+    /// each segment is copied at most once per retraction epoch.
+    pub fn remove_rows<'a>(&mut self, doomed: impl IntoIterator<Item = &'a [Term]>) -> usize {
+        let doomed: Vec<(&[Term], u64)> =
+            doomed.into_iter().map(|row| (row, row_hash(row))).collect();
+        // The segment without its doomed rows, or `None` if it holds none.
+        let strip = |segment: &Segment| -> Option<Segment> {
+            let mut ids: Vec<u32> = doomed
+                .iter()
+                .filter_map(|(row, hash)| segment.position_hashed(row, *hash))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            (!ids.is_empty()).then(|| segment.without(&ids))
+        };
+        let before = self.len;
+        for segment in &mut self.frozen {
+            if let Some(stripped) = strip(segment) {
+                self.len -= segment.len() - stripped.len();
+                *segment = Arc::new(stripped);
             }
         }
-        let removed = self.len - rebuilt.len();
-        if removed > 0 {
-            *self = rebuilt;
+        self.frozen.retain(|segment| segment.len() > 0);
+        if let Some(stripped) = strip(&self.tail) {
+            self.len -= self.tail.len() - stripped.len();
+            self.tail = stripped;
         }
-        removed
+        before - self.len
     }
 
-    /// Remove one row; returns `true` if it was present. A cheap membership
-    /// probe guards the O(rows) rebuild, so removing an absent row costs one
-    /// hash lookup.
+    /// Remove one row; returns `true` if it was present.
     pub fn remove_row(&mut self, row: &[Term]) -> bool {
-        if !self.contains(row) {
-            return false;
-        }
-        self.remove_where(|r| r == row) == 1
+        self.remove_rows([row]) == 1
     }
 
     /// Publish the mutable tail as a frozen, shareable segment, after which
@@ -704,22 +769,22 @@ impl Instance {
 
     /// Remove a batch of ground atoms; returns how many were present (and
     /// are now gone). Atoms are grouped by predicate so each affected
-    /// relation is rebuilt exactly once (segments are immutable; see
-    /// [`IndexedRelation::remove_where`]); relations not named in the batch
-    /// are untouched and keep sharing their segments.
+    /// relation is visited exactly once (segments are immutable; see
+    /// [`IndexedRelation::remove_rows`]); relations not named in the batch,
+    /// and segments holding none of its rows, are untouched and keep being
+    /// shared.
     pub fn remove_atoms<'a, I: IntoIterator<Item = &'a Atom>>(&mut self, atoms: I) -> usize {
-        let mut by_predicate: BTreeMap<Predicate, std::collections::HashSet<&'a [Term]>> =
-            BTreeMap::new();
+        let mut by_predicate: BTreeMap<Predicate, Vec<&'a [Term]>> = BTreeMap::new();
         for atom in atoms {
             by_predicate
                 .entry(atom.predicate)
                 .or_default()
-                .insert(&atom.terms);
+                .push(&atom.terms);
         }
         let mut removed = 0usize;
         for (predicate, doomed) in by_predicate {
             if let Some(rel) = self.relations.get_mut(&predicate) {
-                let dropped = rel.remove_where(|row| doomed.contains(row));
+                let dropped = rel.remove_rows(doomed);
                 removed += dropped;
                 self.size -= dropped;
             }
@@ -859,6 +924,16 @@ impl Instance {
             .flatten()
             .filter_map(Term::as_null)
             .collect()
+    }
+
+    /// True if some fact has `term` as an argument. Probes the per-column
+    /// indexes — O(#relations × arity × #segments) hash lookups, no row is
+    /// read — so a caller can maintain a term set (say, the nulls of a
+    /// materialization) across deletions without rescanning the instance.
+    pub fn mentions(&self, term: &Term) -> bool {
+        self.relations
+            .values()
+            .any(|rel| (0..rel.arity()).any(|col| rel.postings_len(col, term) > 0))
     }
 
     /// True if the instance contains no labelled nulls (i.e. it is a plain
@@ -1101,6 +1176,92 @@ mod tests {
         assert_eq!(db.len(), 9);
         assert_eq!(db.relation_size(Predicate::new("r", 2)), 8);
         assert_eq!(db.relation_size(Predicate::new("s", 1)), 1);
+    }
+
+    #[test]
+    fn removal_rebuilds_only_the_segments_it_hits() {
+        // A large old segment and a small recent one: removing a recent row
+        // must leave the old segment shared with the pre-removal clone.
+        let mut rel = IndexedRelation::with_arity(1);
+        for i in 0..64 {
+            rel.insert(vec![Term::constant(&format!("old{i}"))]);
+        }
+        rel.freeze();
+        rel.insert(vec![Term::constant("recent")]);
+        rel.freeze();
+        assert_eq!(rel.segment_count(), 2);
+        let before = rel.clone();
+        let recent = [Term::constant("recent")];
+        assert_eq!(rel.remove_rows([&recent[..]]), 1);
+        assert_eq!(rel.len(), 64);
+        assert_eq!(rel.segment_count(), 1, "the emptied segment is dropped");
+        assert!(Arc::ptr_eq(&rel.frozen[0], &before.frozen[0]));
+        assert!(before.contains(&recent), "clones keep their view");
+        // Removing an old row rebuilds that segment (order preserved).
+        let old = [Term::constant("old3")];
+        assert!(rel.remove_row(&old));
+        assert!(!Arc::ptr_eq(&rel.frozen[0], &before.frozen[0]));
+        assert_eq!(rel.rows().next().unwrap()[0], Term::constant("old0"));
+        assert_eq!(rel.postings_len(0, &old[0]), 0);
+        assert_eq!(rel.len(), 63);
+    }
+
+    #[test]
+    fn removal_matches_a_rebuilt_relation() {
+        // Patched segments must answer exactly like a relation built from
+        // the surviving rows: same order, same dedup, same posting lists.
+        let row = |i: u32| {
+            vec![
+                Term::constant(&format!("a{}", i % 7)),
+                Term::constant(&format!("b{}", i % 5)),
+            ]
+        };
+        let mut rel = IndexedRelation::with_arity(2);
+        for i in 0..35 {
+            rel.insert(row(i));
+            if i == 19 || i == 29 {
+                rel.freeze();
+            }
+        }
+        let doomed: Vec<Vec<Term>> = [0, 7, 8, 19, 20, 34, 34].iter().map(|&i| row(i)).collect();
+        assert_eq!(rel.remove_rows(doomed.iter().map(Vec::as_slice)), 6);
+        let mut expected = IndexedRelation::with_arity(2);
+        for i in (0..35).filter(|i| ![0, 7, 8, 19, 20, 34].contains(i)) {
+            expected.insert(row(i));
+        }
+        assert_eq!(rel.len(), expected.len());
+        assert!(rel.rows().eq(expected.rows()), "order is preserved");
+        for i in 0..35 {
+            assert_eq!(rel.contains(&row(i)), expected.contains(&row(i)), "row {i}");
+            for col in 0..2 {
+                let value = row(i)[col];
+                assert_eq!(
+                    rel.postings_len(col, &value),
+                    expected.postings_len(col, &value)
+                );
+                let mut pattern = vec![Term::variable("X"), Term::variable("Y")];
+                pattern[col] = value;
+                assert_eq!(rel.match_count(&pattern), expected.match_count(&pattern));
+            }
+        }
+        // Removed rows can come back; survivors are still duplicates.
+        assert!(rel.insert(row(7)));
+        assert!(!rel.insert(row(9)));
+    }
+
+    #[test]
+    fn mentions_probes_every_column() {
+        let mut db = Instance::new();
+        db.insert_fact("r", &["a", "b"]);
+        db.insert_fact("s", &["c"]);
+        db.freeze();
+        db.insert_fact("r", &["d", "e"]);
+        for name in ["a", "b", "c", "d", "e"] {
+            assert!(db.mentions(&Term::constant(name)), "{name}");
+        }
+        assert!(!db.mentions(&Term::constant("z")));
+        db.remove(&Atom::fact("s", &["c"]));
+        assert!(!db.mentions(&Term::constant("c")));
     }
 
     #[test]

@@ -20,8 +20,8 @@ use ontorew_storage::{
 };
 use ontorew_telemetry::{global_registry, span};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
 /// Count one materialization by how it was obtained (the `mode` label of
@@ -39,6 +39,46 @@ fn record_materialization_mode(mode: &MaterializationMode) {
             &[("mode", label)],
         )
         .inc();
+}
+
+/// The labelled nulls of a chased instance, shared between the versions that
+/// did not change it.
+type NullSet = Arc<std::collections::BTreeSet<ontorew_model::term::Null>>;
+
+/// The null set of a chase state after `added` entered its instance, in
+/// O(nulls of `added`): a continuation can propagate *base* nulls into newly
+/// derived facts, so only genuinely new nulls extend the shared set (which
+/// is reused as is when there are none).
+fn extend_null_set(nulls: &NullSet, added: &Instance) -> NullSet {
+    let fresh: Vec<_> = added
+        .nulls()
+        .into_iter()
+        .filter(|null| !nulls.contains(null))
+        .collect();
+    let mut extended = Arc::clone(nulls);
+    if !fresh.is_empty() {
+        Arc::make_mut(&mut extended).extend(fresh);
+    }
+    extended
+}
+
+/// The null set of a chase state after `removed` left its instance, in
+/// O(nulls of `removed`): a null leaves the set only when the last fact
+/// mentioning it left `survivors` — checked through the column indexes.
+fn shrink_null_set(mut nulls: NullSet, removed: &[Atom], survivors: &Instance) -> NullSet {
+    let vanished: Vec<_> = removed
+        .iter()
+        .flat_map(|fact| fact.terms.iter())
+        .filter_map(Term::as_null)
+        .filter(|null| !survivors.mentions(&Term::Null(*null)))
+        .collect();
+    if !vanished.is_empty() {
+        let set = Arc::make_mut(&mut nulls);
+        for null in &vanished {
+            set.remove(null);
+        }
+    }
+    nulls
 }
 
 /// [`SipSelectivity`] oracle backed by measured store statistics: an adorned
@@ -155,7 +195,7 @@ pub struct Materialization {
     /// an incremental extension can compute its exact null count in
     /// O(delta nulls) — a continuation can propagate *base* nulls into new
     /// facts, so `added`'s nulls alone would double-count.
-    null_set: Arc<std::collections::BTreeSet<ontorew_model::term::Null>>,
+    null_set: NullSet,
 }
 
 impl Materialization {
@@ -243,8 +283,30 @@ pub(crate) struct PlannerShared {
     /// lowest-tagged tenant). One materialization serves every chase-plan
     /// query against that version.
     materializations: Mutex<MaterializationCache>,
+    /// Signalled (under `materializations`) whenever an in-flight
+    /// materialization lands or is abandoned.
+    landed: Condvar,
     /// Store statistics keyed by data version, feeding the cost model.
     statistics: Mutex<StatisticsCache>,
+}
+
+/// Held by the thread materializing `version`; dropping it (on success,
+/// fallback or unwind alike) clears the in-flight slot and wakes the
+/// waiters, which then find the cached result or take over.
+struct Landing<'a> {
+    shared: &'a PlannerShared,
+    version: u64,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        self.shared
+            .materializations
+            .lock()
+            .in_flight
+            .remove(&self.version);
+        self.shared.landed.notify_all();
+    }
 }
 
 /// What a successful delta-chain walk hands back: the ancestor's version,
@@ -261,6 +323,10 @@ struct MaterializationCache {
     /// cached ancestor it can extend instead of re-chasing.
     deltas: HashMap<u64, (u64, DeltaEdge)>,
     tick: u64,
+    /// Versions some thread is materializing right now. A second miss on
+    /// the same version waits on [`PlannerShared::landed`] for that result
+    /// instead of computing it again.
+    in_flight: HashSet<u64>,
 }
 
 impl MaterializationCache {
@@ -294,7 +360,38 @@ impl MaterializationCache {
                 self.entries.remove(&victim);
             }
         }
+        // Gauges of what grows, fed from counters the cache and the graph
+        // already keep (the provenance ones describe the newest entry).
+        let registry = global_registry();
+        if let Some(graph) = materialization.provenance() {
+            for (name, help, value) in [
+                (
+                    "provenance_nodes",
+                    "Live facts in the newest cached derivation graph.",
+                    graph.node_count(),
+                ),
+                (
+                    "provenance_edges",
+                    "Live edges in the newest cached derivation graph.",
+                    graph.edge_count(),
+                ),
+                (
+                    "provenance_bytes",
+                    "Estimated heap bytes of the newest cached derivation graph.",
+                    graph.bytes_estimate(),
+                ),
+            ] {
+                registry.gauge(name, help, &[]).set(value as i64);
+            }
+        }
         self.entries.insert(version, (self.tick, materialization));
+        registry
+            .gauge(
+                "plan_materialization_cache_entries",
+                "Chase materializations currently cached.",
+                &[],
+            )
+            .set(self.entries.len() as i64);
     }
 
     /// Record that `version` was produced from `parent` by inserting
@@ -401,29 +498,52 @@ impl PlannerShared {
     /// ancestor materialization is cached and complete, the ancestor is
     /// **incrementally extended** — O(closure of the delta) — instead of
     /// re-chasing the whole store. The chase (either kind) runs outside the
-    /// cache lock.
+    /// cache lock, and at most once per version: a concurrent miss on the
+    /// same version waits for the first computation and is served (and
+    /// counted) as a cache hit.
     fn materialize(
         &self,
         store: &RelationalStore,
         version: Option<u64>,
     ) -> (Arc<Materialization>, bool) {
         let source_facts = store.len();
+        let mut mat_span = span("plan.materialize");
+        let mut _landing = None;
         if let Some(v) = version {
-            // The size guard inside `get` catches a caller reusing a version
-            // token for different data; recomputing is then the safe choice.
             let mut cache = self.materializations.lock();
-            if let Some(m) = cache.get(v, source_facts) {
-                global_registry()
-                    .counter(
-                        "plan_materialization_cache_hits_total",
-                        "Materialization cache hits (version token matched).",
-                        &[],
-                    )
-                    .inc();
-                return (m, true);
+            loop {
+                // The size guard inside `get` catches a caller reusing a
+                // version token for different data; recomputing is then the
+                // safe choice.
+                if let Some(m) = cache.get(v, source_facts) {
+                    global_registry()
+                        .counter(
+                            "plan_materialization_cache_hits_total",
+                            "Materialization cache hits (version token matched).",
+                            &[],
+                        )
+                        .inc();
+                    mat_span.attr("cached", true);
+                    return (m, true);
+                }
+                if !cache.in_flight.contains(&v) {
+                    break;
+                }
+                // Single flight: another thread missed this version first.
+                // Its result is a hit for us once it lands.
+                cache = self
+                    .landed
+                    .wait(cache)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            if let Some((from, base, batches)) = cache.incremental_base(v, source_facts) {
-                drop(cache);
+            cache.in_flight.insert(v);
+            _landing = Some(Landing {
+                shared: self,
+                version: v,
+            });
+            let lineage = cache.incremental_base(v, source_facts);
+            drop(cache);
+            if let Some((from, base, batches)) = lineage {
                 let result = if batches.iter().any(|(kind, _)| *kind == DeltaKind::Delete) {
                     // At least one delete edge: replay the lineage stage by
                     // stage — incremental chase for inserts, DRed for
@@ -442,6 +562,7 @@ impl PlannerShared {
                 };
                 if let Some(materialization) = result {
                     record_materialization_mode(&materialization.mode);
+                    mat_span.attr("mode", materialization.mode);
                     return (materialization, false);
                 }
                 // Validation failed (stale tokens, mismatched lineage, no
@@ -449,6 +570,7 @@ impl PlannerShared {
                 // scratch chase.
             }
         }
+        mat_span.attr("mode", MaterializationMode::Scratch);
         let start = Instant::now();
         let mut result = chase(&self.program, &store.to_instance(), &self.chase_config);
         // Freeze so the cached instance clones in O(#segments) — what makes
@@ -529,22 +651,7 @@ impl PlannerShared {
         // O(#segments), no rows duplicated (the base's segments are reused
         // by the continuation's copy-on-write instance clone).
         let chased_store = RelationalStore::from_instance(&result.instance);
-        // Exact null count in O(delta nulls): a continuation can propagate
-        // *base* nulls into newly derived facts, so only genuinely new
-        // nulls extend the shared set.
-        let new_nulls: Vec<_> = incremental
-            .added
-            .nulls()
-            .into_iter()
-            .filter(|n| !base.null_set.contains(n))
-            .collect();
-        let null_set = if new_nulls.is_empty() {
-            Arc::clone(&base.null_set)
-        } else {
-            let mut set = (*base.null_set).clone();
-            set.extend(new_nulls);
-            Arc::new(set)
-        };
+        let null_set = extend_null_set(&base.null_set, &incremental.added);
         let materialization = Arc::new(Materialization {
             complete: base.complete && result.is_universal_model(),
             facts: result.instance.len(),
@@ -601,6 +708,7 @@ impl PlannerShared {
         let mut delta_facts = 0usize;
         let mut removed_facts = 0usize;
         let mut complete = base.complete;
+        let mut null_set = Arc::clone(&base.null_set);
         let mut current: Option<ChaseResult> = None;
         for (kind, facts) in runs {
             let prev: &ChaseResult = current.as_ref().unwrap_or(&base.chased);
@@ -625,6 +733,7 @@ impl PlannerShared {
                         &config,
                     );
                     complete = complete && incremental.result.is_universal_model();
+                    null_set = extend_null_set(&null_set, &incremental.added);
                     current = Some(incremental.result);
                 }
                 DeltaKind::Delete => {
@@ -636,6 +745,13 @@ impl PlannerShared {
                     // fixpoint verdict stands alone.
                     complete =
                         (complete || retracted.scratch) && retracted.result.is_universal_model();
+                    null_set = if retracted.scratch {
+                        Arc::new(retracted.result.instance.nulls())
+                    } else {
+                        let survivors = &retracted.result.instance;
+                        let shrunk = shrink_null_set(null_set, &retracted.removed_facts, survivors);
+                        extend_null_set(&shrunk, &retracted.added)
+                    };
                     current = Some(retracted.result);
                 }
             }
@@ -644,17 +760,14 @@ impl PlannerShared {
         // End-to-end guard, the retraction-aware analogue of the insert
         // path's size check: after replaying the lineage, the surviving
         // base assertions of the derivation graph *are* the source facts
-        // the lineage claims — they must match the observed store.
-        let asserted = result
-            .provenance
-            .as_ref()
-            .map(|graph| graph.base_facts().count())?;
+        // the lineage claims — they must match the observed store. The
+        // graph keeps the count live.
+        let asserted = result.provenance.as_ref()?.base_fact_count();
         if asserted != store.len() {
             return None;
         }
         result.instance.freeze();
         let chased_store = RelationalStore::from_instance(&result.instance);
-        let null_set = Arc::new(result.instance.nulls());
         let materialization = Arc::new(Materialization {
             complete,
             facts: result.instance.len(),
@@ -733,6 +846,7 @@ impl Planner {
                 hybrid_disjunct_cutoff: config.hybrid_disjunct_cutoff,
                 small_store_facts: config.small_store_facts,
                 materializations: Mutex::new(MaterializationCache::default()),
+                landed: Condvar::new(),
                 statistics: Mutex::new(StatisticsCache::default()),
             }),
         }
@@ -1389,11 +1503,7 @@ impl PreparedQuery {
         version: Option<u64>,
         reason: String,
     ) -> Execution {
-        let mut mat_span = span("plan.materialize");
         let (materialization, cached) = self.shared.materialize(store, version);
-        mat_span.attr("cached", cached);
-        mat_span.attr("facts", materialization.facts);
-        drop(mat_span);
         let start = Instant::now();
         let eval_span = span("plan.evaluate");
         let answers = evaluate_cq(&materialization.store, &self.query).without_nulls();
@@ -1584,7 +1694,10 @@ impl PreparedQuery {
         for seed in &magic.seeds {
             instance.insert(seed.clone());
         }
-        let result = chase(&magic.program, &instance, &self.shared.chase_config);
+        // Nobody reads a derivation graph of the restricted model: it is
+        // thrown away with the result, so it is not recorded.
+        let config = self.shared.chase_config.with_provenance(false);
+        let result = chase(&magic.program, &instance, &config);
         chase_span.attr("facts", result.instance.len());
         chase_span.attr("rounds", result.rounds);
         chase_span.attr("terminated", result.outcome == ChaseOutcome::Terminated);
@@ -2370,6 +2483,40 @@ mod tests {
         assert_eq!(extended.nulls, extended.store.to_instance().nulls().len());
     }
 
+    /// The DRed replay maintains the null set by the delta in both
+    /// directions: a retraction that re-fires an existential trigger adds
+    /// the invented null, and one that removes the last fact mentioning a
+    /// null drops it — no rescan of the instance, same count as one.
+    #[test]
+    fn dred_null_count_follows_the_delta() {
+        let program = parse_program("[R1] person(X) -> hasParent(X, N).").unwrap();
+        let planner = Planner::with_config(program, provenance_config());
+        let mut store = RelationalStore::new();
+        store.insert_fact("person", &["alice"]);
+        store.insert_fact("person", &["bob"]);
+        store.insert_fact("hasParent", &["alice", "zoe"]);
+        let (base, _) = planner.materialize(&store, Some(1));
+        assert_eq!(base.nulls, 1, "only bob needs an invented parent");
+
+        // Withdrawing alice's witness re-fires her trigger: one more null.
+        let witness = vec![Atom::fact("hasParent", &["alice", "zoe"])];
+        store.remove_atom(&witness[0]);
+        planner.record_retraction(1, 2, &witness, store.len());
+        let (refired, _) = planner.materialize(&store, Some(2));
+        assert!(matches!(refired.mode, MaterializationMode::Dred { .. }));
+        assert_eq!(refired.nulls, 2);
+        assert_eq!(refired.nulls, refired.instance().nulls().len());
+
+        // Removing bob takes his invented parent — and its null — along.
+        let bob = vec![Atom::fact("person", &["bob"])];
+        store.remove_atom(&bob[0]);
+        planner.record_retraction(2, 3, &bob, store.len());
+        let (shrunk, _) = planner.materialize(&store, Some(3));
+        assert!(matches!(shrunk.mode, MaterializationMode::Dred { .. }));
+        assert_eq!(shrunk.nulls, 1);
+        assert_eq!(shrunk.nulls, shrunk.instance().nulls().len());
+    }
+
     /// A lineage that does not reproduce the observed store (wrong
     /// resulting size) is rejected and the planner re-chases from scratch.
     #[test]
@@ -2507,6 +2654,93 @@ mod tests {
             broad_plan.explain().contains("goal-driven inadmissible"),
             "{}",
             broad_plan.explain()
+        );
+    }
+
+    /// The restricted model of a goal-driven execution is thrown away with
+    /// the reply, so even a provenance-tracking planner (what the server
+    /// runs) must not record a derivation graph for it — and the answers
+    /// still equal the full chase's.
+    #[test]
+    fn goal_driven_executions_record_no_provenance() {
+        let planner =
+            Planner::with_config(ontorew_workloads::registrar_ontology(), provenance_config());
+        assert!(planner.chase_config().track_provenance);
+        let selective = &ontorew_workloads::registrar_queries()[0];
+        let prepared = planner.prepare(selective);
+        let store = RelationalStore::from_instance(&ontorew_workloads::registrar_abox(200, 8, 5));
+        let QueryPlan::GoalDriven { magic } = prepared.plan() else {
+            panic!("selective registrar queries are goal-driven");
+        };
+        let (restricted, _) = prepared.run_magic_chase(magic, &store);
+        assert!(restricted.is_universal_model());
+        assert!(restricted.provenance.is_none());
+
+        let execution = prepared.execute(&store);
+        assert_eq!(execution.provenance.strategy, StrategyTaken::GoalDriven);
+        let full = planner
+            .prepare_forced(selective, PlanKind::Chase)
+            .unwrap()
+            .execute(&store);
+        assert_eq!(execution.answers, full.answers);
+        // The full materialization of the same planner does record one.
+        assert!(planner.materialize(&store, None).0.provenance().is_some());
+    }
+
+    /// 200 one-fact commits, each followed by a materialization: every
+    /// cached version continues the first one's derivation graph without
+    /// copying it, the layer stack stays logarithmic, and the footprint of
+    /// the cached versions grows with the commits — not with commits ×
+    /// model.
+    #[test]
+    fn one_fact_commits_share_the_model_across_cached_versions() {
+        let planner =
+            Planner::with_config(ontorew_workloads::registrar_ontology(), provenance_config());
+        let mut store =
+            RelationalStore::from_instance(&ontorew_workloads::registrar_abox(400, 8, 5));
+        let (first, _) = planner.materialize(&store, Some(0));
+        let model = first.provenance().unwrap();
+        let model_bytes = model.bytes_estimate();
+        // Logical bytes summed over the versions currently cached.
+        let cached_bytes = |latest: u64, store: &RelationalStore| -> usize {
+            (0..MATERIALIZATION_CACHE_VERSIONS as u64)
+                .filter_map(|back| latest.checked_sub(back))
+                .filter_map(|v| {
+                    planner.cached_materialization(v, store.len() - (latest - v) as usize)
+                })
+                .map(|m| m.provenance().unwrap().bytes_estimate())
+                .sum()
+        };
+        let mut after_warm_up = 0;
+        for commit in 1..=200u64 {
+            let fact = Atom::fact("enrolled", &[&format!("newcomer{commit}"), "course3"]);
+            assert!(store.insert_atom(&fact));
+            planner.record_delta(commit - 1, commit, &[fact], store.len());
+            let (materialization, cached) = planner.materialize(&store, Some(commit));
+            assert!(!cached);
+            assert!(matches!(
+                materialization.mode,
+                MaterializationMode::Incremental { delta_facts: 1, .. }
+            ));
+            let graph = materialization.provenance().unwrap();
+            assert!(
+                graph.shares_layers_with(model),
+                "commit {commit} copied the model"
+            );
+            assert!(graph.layer_count() <= 10, "{} layers", graph.layer_count());
+            assert_eq!(graph.node_count(), materialization.facts);
+            assert_eq!(graph.base_fact_count(), store.len());
+            if commit == 8 {
+                after_warm_up = cached_bytes(commit, &store);
+            }
+        }
+        let growth = cached_bytes(200, &store) - after_warm_up;
+        // Each commit adds an enrollment, a student and ~4 obligations to
+        // each of the (at most four) cached graphs: a few KB per commit.
+        assert!(growth < 192 * 4 * 4096, "grew {growth} bytes");
+        assert!(
+            growth < 4 * model_bytes,
+            "grew {growth} vs model {model_bytes}"
         );
     }
 
