@@ -21,7 +21,10 @@
 //! planner's incremental materializations O(batch) instead of O(store).
 //!
 //! The `ontorew-storage` crate builds its relational store on the same
-//! [`IndexedRelation`] machinery and converts to/from this type.
+//! [`IndexedRelation`] machinery and converts to and from this type by
+//! cloning relations ([`Instance::from_relations`] one way, `relation` the
+//! other), so a conversion of frozen data shares every segment and copies
+//! only the tails.
 
 use crate::atom::{Atom, Predicate};
 use crate::signature::Signature;
@@ -729,6 +732,36 @@ impl Instance {
         let mut inst = Instance::new();
         for a in atoms {
             inst.insert(a);
+        }
+        inst
+    }
+
+    /// Build an instance from already-indexed relations, one per predicate
+    /// (empty ones are skipped). The relations are moved in as they are: a
+    /// clone of a frozen [`IndexedRelation`] shares every frozen segment by
+    /// `Arc`, so an instance assembled from such clones costs
+    /// O(#relations + #segments) and copies no row — later inserts land in
+    /// the relations' own tails and never touch the shared segments.
+    ///
+    /// # Panics
+    /// Panics if a relation's arity does not match its predicate, or if a
+    /// predicate occurs twice.
+    pub fn from_relations<I: IntoIterator<Item = (Predicate, IndexedRelation)>>(
+        relations: I,
+    ) -> Self {
+        let mut inst = Instance::new();
+        for (predicate, rel) in relations {
+            assert_eq!(
+                rel.arity(),
+                predicate.arity,
+                "arity mismatch for {predicate}"
+            );
+            if rel.is_empty() {
+                continue;
+            }
+            inst.size += rel.len();
+            let previous = inst.relations.insert(predicate, rel);
+            assert!(previous.is_none(), "{predicate} given twice");
         }
         inst
     }

@@ -21,7 +21,7 @@ use ontorew_storage::{
 use ontorew_telemetry::{global_registry, span};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Weak};
 use std::time::Instant;
 
 /// Count one materialization by how it was obtained (the `mode` label of
@@ -178,9 +178,9 @@ pub struct Materialization {
     pub nulls: usize,
     /// Chase rounds executed (of the latest scratch run or continuation).
     pub rounds: usize,
-    /// Wall-clock cost of producing this materialization (chase +
-    /// re-indexing for scratch; incremental chase + store extension for
-    /// incremental), microseconds.
+    /// Wall-clock cost of producing this materialization (chase + freeze
+    /// for scratch; incremental chase + store extension for incremental),
+    /// microseconds.
     pub micros: u64,
     /// How this materialization was obtained; reported in provenance.
     pub mode: MaterializationMode,
@@ -572,10 +572,14 @@ impl PlannerShared {
         }
         mat_span.attr("mode", MaterializationMode::Scratch);
         let start = Instant::now();
+        // The chase starts from the store's own frozen segments (see
+        // `run_magic_chase`): only the derived facts are new rows.
         let mut result = chase(&self.program, &store.to_instance(), &self.chase_config);
         // Freeze so the cached instance clones in O(#segments) — what makes
         // later incremental extensions and hybrid peeks cheap — and so the
         // evaluation store shares its segments instead of copying the rows.
+        // The size-tiered merge builds new segments; the store's stay as
+        // they are.
         result.instance.freeze();
         let chased_store = RelationalStore::from_instance(&result.instance);
         let null_set = Arc::new(result.instance.nulls());
@@ -1090,6 +1094,7 @@ impl Planner {
             plan,
             reason,
             prepare_us: start.elapsed().as_micros() as u64,
+            adorned: Mutex::new(None),
         }
     }
 
@@ -1161,6 +1166,7 @@ impl Planner {
             plan,
             reason,
             prepare_us: start.elapsed().as_micros() as u64,
+            adorned: Mutex::new(None),
         })
     }
 
@@ -1235,6 +1241,12 @@ pub struct PreparedQuery {
     plan: QueryPlan,
     reason: String,
     prepare_us: u64,
+    /// The magic program re-adorned under one data version's statistics,
+    /// keyed by the identity of the statistics it was built from (the
+    /// planner caches one `Arc` per version, so every execution of a
+    /// version finds its adornment here). A `Weak` key pins no statistics
+    /// the planner has already evicted.
+    adorned: Mutex<Option<(Weak<StoreStatistics>, Arc<MagicProgram>)>>,
 }
 
 impl PreparedQuery {
@@ -1432,10 +1444,16 @@ impl PreparedQuery {
                 self.run_materialization(store, version, self.reason.clone())
             }
             QueryPlan::Hybrid { rewriting } => self.run_hybrid(rewriting, store, version, stats),
-            QueryPlan::GoalDriven { magic } => self.run_goal_driven(magic, store, version, stats),
-            QueryPlan::BestEffort { rewriting, magic } => {
-                self.run_best_effort(rewriting, magic.as_ref(), store, version, stats)
+            QueryPlan::GoalDriven { magic } => {
+                self.run_goal_driven(magic, store, version, statistics.as_ref())
             }
+            QueryPlan::BestEffort { rewriting, magic } => self.run_best_effort(
+                rewriting,
+                magic.as_ref(),
+                store,
+                version,
+                statistics.as_ref(),
+            ),
         };
         // Estimated vs. actual cardinality of the original query, so EXPLAIN
         // and serialized provenance expose misestimates. The estimate is
@@ -1679,10 +1697,17 @@ impl PreparedQuery {
     }
 
     /// Chase the magic-restricted program: seed the instance with the
-    /// query's demand facts, run the adorned program (deriving only the
-    /// goal-relevant slice of the universal model), and evaluate the
-    /// original query over the result. Returns `None` when the restricted
-    /// chase did not reach a fixpoint — the caller decides the fallback.
+    /// query's demand facts and run the adorned program, deriving only the
+    /// goal-relevant slice of the universal model. The caller evaluates the
+    /// original query over the result and, when the restricted chase did not
+    /// reach a fixpoint, decides the fallback.
+    ///
+    /// No row of the store is copied on the way in or out: `to_instance`
+    /// shares the snapshot's frozen segments (O(#relations + #segments)),
+    /// the chase's own working copy shares them again, and the seeds and
+    /// derived facts land in per-relation tails — which are all the later
+    /// `from_instance` of the result copies. Only an *unfrozen* store (one
+    /// built in place and never published) has its tails copied as well.
     fn run_magic_chase(
         &self,
         magic: &Arc<MagicProgram>,
@@ -1718,6 +1743,38 @@ impl PreparedQuery {
             .unwrap_or_else(|| store.len().saturating_mul(1 + self.shared.program.len()))
     }
 
+    /// The goal-driven plan to chase: the prepared (structurally-adorned)
+    /// magic program, unless statistics are available — then the program is
+    /// re-adorned with the statistics-backed SIP oracle so demand flows
+    /// through the atoms the *data* says are selective. The re-adornment is
+    /// made once per statistics object, i.e. once per data version, and
+    /// kept in the prepared query's slot; if it is somehow inadmissible (it
+    /// never should be when the prepared one was) the prepared program is
+    /// kept instead.
+    fn statistics_adorned(
+        &self,
+        magic: &Arc<MagicProgram>,
+        statistics: Option<&Arc<StoreStatistics>>,
+    ) -> Arc<MagicProgram> {
+        let Some(statistics) = statistics else {
+            return Arc::clone(magic);
+        };
+        if let Some((built_from, adorned)) = &*self.adorned.lock() {
+            if Weak::as_ptr(built_from) == Arc::as_ptr(statistics) {
+                return Arc::clone(adorned);
+            }
+        }
+        let adorned = rewrite_goal_driven_with(
+            &self.shared.program,
+            &self.query,
+            &StatisticsSipSelectivity { statistics },
+        )
+        .map(Arc::new)
+        .unwrap_or_else(|_| Arc::clone(magic));
+        *self.adorned.lock() = Some((Arc::downgrade(statistics), Arc::clone(&adorned)));
+        adorned
+    }
+
     /// Goal-driven execution: chase only the query-relevant slice. Two
     /// escape hatches keep it no worse than the chase plan it replaces —
     /// when a *complete* full materialization of this version is already
@@ -1725,36 +1782,12 @@ impl PreparedQuery {
     /// chase; and when the restricted chase exhausts its budget the
     /// executor falls back to the full materialization pipeline so the
     /// plan's exactness guarantee survives.
-    /// The goal-driven plan to chase: the prepared (structurally-adorned)
-    /// magic program, unless statistics are available — then the program is
-    /// re-adorned with the statistics-backed SIP oracle so demand flows
-    /// through the atoms the *data* says are selective. Re-adorning is a
-    /// worklist over the rules, microseconds against the chase it shapes;
-    /// if the re-adornment is somehow inadmissible (it never should be when
-    /// the prepared one was) the prepared program is kept.
-    fn statistics_adorned(
-        &self,
-        magic: &Arc<MagicProgram>,
-        statistics: Option<&StoreStatistics>,
-    ) -> Arc<MagicProgram> {
-        match statistics {
-            Some(statistics) => rewrite_goal_driven_with(
-                &self.shared.program,
-                &self.query,
-                &StatisticsSipSelectivity { statistics },
-            )
-            .map(Arc::new)
-            .unwrap_or_else(|_| Arc::clone(magic)),
-            None => Arc::clone(magic),
-        }
-    }
-
     fn run_goal_driven(
         &self,
         magic: &Arc<MagicProgram>,
         store: &RelationalStore,
         version: Option<u64>,
-        statistics: Option<&StoreStatistics>,
+        statistics: Option<&Arc<StoreStatistics>>,
     ) -> Execution {
         let warm = version
             .map(
@@ -1843,12 +1876,12 @@ impl PreparedQuery {
         magic: Option<&Arc<MagicProgram>>,
         store: &RelationalStore,
         version: Option<u64>,
-        statistics: Option<&StoreStatistics>,
+        statistics: Option<&Arc<StoreStatistics>>,
     ) -> Execution {
         let mut execution = self.run_rewriting(
             rewriting,
             store,
-            statistics,
+            statistics.map(Arc::as_ref),
             StrategyTaken::Rewriting,
             self.reason.clone(),
         );
@@ -2685,6 +2718,48 @@ mod tests {
         assert_eq!(execution.answers, full.answers);
         // The full materialization of the same planner does record one.
         assert!(planner.materialize(&store, None).0.provenance().is_some());
+    }
+
+    /// A goal-driven execution over a frozen snapshot copies none of its
+    /// rows: the restricted chase starts from the snapshot's own segments,
+    /// writes only into tails, and leaves every relation of the snapshot
+    /// exactly as it was — with the full chase's answers.
+    #[test]
+    fn goal_driven_executions_share_the_frozen_snapshot() {
+        let planner = Planner::new(ontorew_workloads::registrar_ontology());
+        let selective = &ontorew_workloads::registrar_queries()[0];
+        let prepared = planner.prepare(selective);
+        let mut store =
+            RelationalStore::from_instance(&ontorew_workloads::registrar_abox(300, 8, 5));
+        store.freeze();
+        let before = store.clone();
+
+        let QueryPlan::GoalDriven { magic } = prepared.plan() else {
+            panic!("selective registrar queries are goal-driven");
+        };
+        let (restricted, _) = prepared.run_magic_chase(magic, &store);
+        assert!(restricted.is_universal_model());
+        assert!(restricted.instance.len() > store.len());
+        for p in store.predicates() {
+            let rel = store.relation(p).unwrap();
+            let chased = restricted.instance.relation(p).unwrap();
+            assert!(chased.shares_segments_with(rel.indexed()), "{p} was copied");
+        }
+
+        let execution = prepared.execute_versioned(&store, 7);
+        assert_eq!(execution.provenance.strategy, StrategyTaken::GoalDriven);
+        let full = planner
+            .prepare_forced(selective, PlanKind::Chase)
+            .unwrap()
+            .execute(&store);
+        assert_eq!(execution.answers, full.answers);
+        assert_eq!(store.len(), before.len());
+        for p in before.predicates() {
+            let (now, then) = (store.relation(p).unwrap(), before.relation(p).unwrap());
+            assert_eq!(now.len(), then.len(), "{p} changed size");
+            assert_eq!(now.segment_count(), then.segment_count(), "{p}");
+            assert!(now.shares_segments_with(then), "{p} lost its segments");
+        }
     }
 
     /// 200 one-fact commits, each followed by a materialization: every

@@ -87,8 +87,7 @@ fn answers_of(service: &QueryService) -> Vec<Vec<Term>> {
 /// commit path at step `crash_at`, then recover the registry from disk and
 /// compare against the in-memory oracle.
 fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize, torn: usize) {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
 
     let root = temp_root(tag);
     let registry = TenantRegistry::recover(
@@ -216,8 +215,7 @@ proptest! {
 /// every acknowledged epoch while the aborted batch leaves no trace.
 #[test]
 fn io_error_on_one_commit_keeps_later_acked_commits_recoverable() {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
     let root = temp_root("io-transient");
     {
         let registry = TenantRegistry::recover(
@@ -273,8 +271,7 @@ fn io_error_on_one_commit_keeps_later_acked_commits_recoverable() {
 /// series.
 #[test]
 fn wal_and_recovery_counters_advance_across_a_restart() {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
     let registry = ontorew_telemetry::global_registry();
     let appends = registry.counter("wal_appends_total", "", &[]);
     let bytes = registry.counter("wal_append_bytes_total", "", &[]);
@@ -338,8 +335,7 @@ fn wal_and_recovery_counters_advance_across_a_restart() {
 /// process must not claim an incremental extension of a pre-crash version.
 #[test]
 fn materializations_are_rebuilt_from_scratch_after_recovery() {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
     let root = temp_root("scratch");
     let program = ontorew_core::examples::example2();
     let query = ontorew_core::examples::example2_query();

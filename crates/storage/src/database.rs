@@ -7,8 +7,14 @@ use std::collections::HashMap;
 /// An in-memory relational database: one [`Relation`] per predicate.
 ///
 /// This is the extensional layer of an OBDA deployment — the part the paper
-/// assumes is "managed by the DBMS". It interconverts with the simpler
-/// [`Instance`] representation used by the chase.
+/// assumes is "managed by the DBMS". It interconverts with the [`Instance`]
+/// representation used by the chase, and both directions are the same
+/// operation: clone each relation's [`IndexedRelation`]. A clone shares
+/// every frozen segment by `Arc` and copies only the mutable tail, so on a
+/// frozen store (every published snapshot is one) a conversion costs
+/// O(#relations + #segments) and duplicates no row. Whatever the other side
+/// then inserts — a chase's seeds and derived facts — lands in its own
+/// tails; the shared segments are immutable.
 #[derive(Clone, Debug, Default)]
 pub struct RelationalStore {
     relations: HashMap<Predicate, Relation>,
@@ -20,11 +26,11 @@ impl RelationalStore {
         RelationalStore::default()
     }
 
-    /// Build a store from an [`Instance`] by cloning its relations — which
-    /// share all frozen segments by reference, so converting a *frozen*
-    /// instance (e.g. a cached chase materialization) costs O(#segments)
-    /// and duplicates no rows. Unfrozen relations are deep-copied, as a
-    /// per-atom rebuild would be.
+    /// Build a store from an [`Instance`] by cloning its relations: frozen
+    /// segments are shared, only the tails are copied. A frozen instance
+    /// (a cached chase materialization) converts in O(#segments); the
+    /// unfrozen result of a restricted chase copies exactly what that chase
+    /// added on top of the frozen store it started from.
     pub fn from_instance(instance: &Instance) -> Self {
         let mut store = RelationalStore::new();
         for p in instance.predicates() {
@@ -36,18 +42,16 @@ impl RelationalStore {
         store
     }
 
-    /// Convert the store back into an [`Instance`].
+    /// The store as an [`Instance`], built from clones of its relations:
+    /// frozen segments are shared, only the tails are copied — so on a
+    /// frozen store this is O(#relations + #segments) and the instance can
+    /// be chased in place without touching the store.
     pub fn to_instance(&self) -> Instance {
-        let mut inst = Instance::new();
-        for (p, rel) in &self.relations {
-            for row in rel.scan() {
-                inst.insert(Atom {
-                    predicate: *p,
-                    terms: row.clone(),
-                });
-            }
-        }
-        inst
+        Instance::from_relations(
+            self.relations
+                .iter()
+                .map(|(p, rel)| (*p, rel.indexed().clone())),
+        )
     }
 
     /// Insert a ground atom; returns `true` if it was new.
@@ -206,6 +210,65 @@ mod tests {
         let store = RelationalStore::from_instance(&inst);
         assert_eq!(store.len(), 2);
         assert_eq!(store.to_instance(), inst);
+    }
+
+    /// The instance a row-by-row copy of `store` would produce.
+    fn rebuilt(store: &RelationalStore) -> Instance {
+        let mut inst = Instance::new();
+        for p in store.predicates() {
+            for row in store.relation(p).unwrap().scan() {
+                inst.insert(Atom::from_predicate(p, row.clone()));
+            }
+        }
+        inst
+    }
+
+    fn sample_store() -> RelationalStore {
+        let mut db = RelationalStore::new();
+        for i in 0..20 {
+            db.insert_fact("r", &[&format!("a{i}"), "b"]);
+        }
+        db.insert_fact("s", &["c"]);
+        db
+    }
+
+    #[test]
+    fn to_instance_of_a_frozen_store_shares_every_segment() {
+        let mut db = sample_store();
+        db.freeze();
+        db.insert_fact("r", &["tail", "b"]);
+        db.relation_mut(Predicate::new("empty", 1));
+        let before = db.clone();
+        let mut inst = db.to_instance();
+        assert_eq!(inst, rebuilt(&db));
+        assert_eq!(inst.predicates().count(), 2, "empty relations are skipped");
+        // Growth of the instance stays in its own tails.
+        assert!(inst.insert_fact("r", &["new", "b"]));
+        assert!(inst.insert_fact("u", &["d"]));
+        assert_eq!(db.len(), 22);
+        assert!(!db.contains_atom(&Atom::fact("r", &["new", "b"])));
+        assert!(!db.contains_atom(&Atom::fact("u", &["d"])));
+        assert!(db.relation(Predicate::new("u", 1)).is_none());
+        for p in [Predicate::new("r", 2), Predicate::new("s", 1)] {
+            let (now, then) = (db.relation(p).unwrap(), before.relation(p).unwrap());
+            assert_eq!(now.len(), then.len());
+            assert!(now.shares_segments_with(then));
+            assert!(inst
+                .relation(p)
+                .unwrap()
+                .shares_segments_with(now.indexed()));
+        }
+    }
+
+    #[test]
+    fn to_instance_of_an_unfrozen_store_equals_a_row_by_row_copy() {
+        let db = sample_store();
+        let inst = db.to_instance();
+        assert_eq!(inst, rebuilt(&db));
+        assert_eq!(inst.len(), db.len());
+        for p in db.predicates() {
+            assert!(inst.tuples(p).eq(db.relation(p).unwrap().scan()));
+        }
     }
 
     #[test]

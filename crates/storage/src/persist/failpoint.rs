@@ -22,10 +22,12 @@
 //!
 //! Armed points fire once and disarm themselves (each simulated crash is
 //! one crash), so a test can arm a point, drive the workload until it
-//! trips, then recover. The registry is process-global; tests touching it
-//! serialize through [`test_lock`].
+//! trips, then recover. The registry is process-global, so a test that
+//! merely *passes* an armed point consumes another test's crash: every test
+//! that reaches a failpoint site — arming one or not — holds a
+//! [`test_guard`] for its whole body.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,10 +56,27 @@ static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 static REGISTRY: Mutex<Option<HashMap<&'static str, FailAction>>> = Mutex::new(None);
 
-/// Serializes tests that arm failpoints (the registry is process-global).
-pub fn test_lock() -> &'static Mutex<()> {
+/// Exclusive use of the failpoint registry for one test, from
+/// [`test_guard`]: nothing is armed when it is taken, and whatever the test
+/// left armed is cleared when it drops — on success and on panic alike.
+pub struct TestGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for TestGuard {
+    fn drop(&mut self) {
+        clear_all();
+    }
+}
+
+/// Serialize the calling test against every other test that reaches a
+/// failpoint site (the registry is process-global), starting from a clean
+/// registry. Hold the guard for the whole test.
+pub fn test_guard() -> TestGuard {
     static LOCK: Mutex<()> = Mutex::new(());
-    &LOCK
+    let lock = LOCK.lock();
+    clear_all();
+    TestGuard { _lock: lock }
 }
 
 /// Arm `point` with `action`. The point fires once, then disarms itself.
@@ -158,28 +177,24 @@ mod tests {
 
     #[test]
     fn unarmed_points_pass_through() {
-        let _guard = test_lock().lock();
-        clear_all();
+        let _guard = test_guard();
         assert!(matches!(check("persist.test.nothing"), Ok(None)));
     }
 
     #[test]
     fn armed_points_fire_once_and_disarm() {
-        let _guard = test_lock().lock();
-        clear_all();
+        let _guard = test_guard();
         arm("persist.test.crash", FailAction::Crash);
         assert!(check("persist.test.crash").is_err());
         assert!(matches!(check("persist.test.crash"), Ok(None)));
         arm("persist.test.torn", FailAction::Torn(5));
         assert_eq!(check("persist.test.torn").unwrap(), Some(5));
         assert!(matches!(check("persist.test.torn"), Ok(None)));
-        clear_all();
     }
 
     #[test]
     fn io_errors_are_not_simulated_crashes() {
-        let _guard = test_lock().lock();
-        clear_all();
+        let _guard = test_guard();
         arm("persist.test.io", FailAction::IoError);
         let err = check("persist.test.io").unwrap_err();
         assert!(!is_simulated_crash(&err), "{err}");
@@ -187,13 +202,11 @@ mod tests {
         let err = check("persist.test.crash2").unwrap_err();
         assert!(is_simulated_crash(&err), "{err}");
         assert!(is_simulated_crash(&torn_error("persist.test.torn2")));
-        clear_all();
     }
 
     #[test]
     fn disarm_and_clear_work() {
-        let _guard = test_lock().lock();
-        clear_all();
+        let _guard = test_guard();
         arm("persist.test.a", FailAction::Crash);
         arm("persist.test.b", FailAction::Crash);
         disarm("persist.test.a");

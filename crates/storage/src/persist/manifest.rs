@@ -209,6 +209,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trip() {
+        let _guard = failpoint::test_guard();
         let path = temp_manifest("roundtrip");
         let manifest = sample();
         manifest.write(&path).unwrap();
@@ -232,6 +233,7 @@ mod tests {
 
     #[test]
     fn corrupt_manifest_is_a_hard_error() {
+        let _guard = failpoint::test_guard();
         let path = temp_manifest("corrupt");
         sample().write(&path).unwrap();
         let pristine = std::fs::read_to_string(&path).unwrap();
@@ -250,8 +252,7 @@ mod tests {
 
     #[test]
     fn crash_before_rename_preserves_the_old_manifest() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_manifest("crash");
         let old = sample();
         old.write(&path).unwrap();

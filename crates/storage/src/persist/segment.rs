@@ -35,7 +35,7 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"OSG1";
 /// before returning; the caller syncs the parent directory when it
 /// publishes the manifest.
 ///
-/// A relation whose payload would exceed [`codec::MAX_LEN`] is rejected
+/// A relation whose payload would exceed `codec::MAX_LEN` (256 MiB) is rejected
 /// *before* anything touches disk — `read_segment` refuses any file past
 /// that bound, so writing it would publish a manifest (and truncate the
 /// WAL) pointing at a checkpoint the next restart can never load. The
@@ -186,6 +186,7 @@ mod tests {
 
     #[test]
     fn segment_round_trip() {
+        let _guard = failpoint::test_guard();
         let path = temp_seg("roundtrip");
         let predicate = Predicate::new("teaches", 2);
         let data = rows();
@@ -199,6 +200,7 @@ mod tests {
 
     #[test]
     fn empty_relation_round_trips() {
+        let _guard = failpoint::test_guard();
         let path = temp_seg("empty");
         let predicate = Predicate::new("lonely", 3);
         let empty: Vec<Vec<Term>> = Vec::new();
@@ -211,6 +213,7 @@ mod tests {
 
     #[test]
     fn corruption_is_a_hard_error() {
+        let _guard = failpoint::test_guard();
         let path = temp_seg("corrupt");
         let data = rows();
         let (_, _, crc) = write_segment(&path, Predicate::new("r", 2), data.iter()).unwrap();
@@ -232,6 +235,7 @@ mod tests {
 
     #[test]
     fn oversized_relation_aborts_the_checkpoint_before_touching_disk() {
+        let _guard = failpoint::test_guard();
         // (The cap is exercised via write_segment_capped; the public entry
         // point runs the identical path with codec::MAX_LEN.)
         let path = temp_seg("oversize");
@@ -247,8 +251,7 @@ mod tests {
 
     #[test]
     fn torn_segment_write_fails_cleanly() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_seg("torn");
         failpoint::arm(
             "segment.write.before_write",

@@ -436,6 +436,7 @@ mod tests {
 
     #[test]
     fn create_log_recover_round_trip() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("roundtrip");
         let storage = TenantStorage::create(
             &root,
@@ -466,6 +467,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_wal_and_survives_recovery() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("checkpoint");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         let mut store = RelationalStore::new();
@@ -494,6 +496,7 @@ mod tests {
 
     #[test]
     fn second_checkpoint_retires_old_segments() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("retire");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         let mut store = RelationalStore::new();
@@ -516,6 +519,7 @@ mod tests {
 
     #[test]
     fn tombstone_hides_the_tenant_and_recreate_wipes_it() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("tombstone");
         let storage =
             TenantStorage::create(&root, "t", "old program", FsyncPolicy::default()).unwrap();
@@ -541,16 +545,13 @@ mod tests {
 
     #[test]
     fn torn_wal_tail_is_truncated_so_new_appends_survive() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("torn-tail");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         storage.log_commit(&insert(1, &["a"])).unwrap();
-        {
-            let _guard = failpoint::test_lock().lock();
-            failpoint::clear_all();
-            failpoint::arm("wal.append.before_write", FailAction::Torn(7));
-            assert!(storage.log_commit(&insert(2, &["b"])).is_err());
-            failpoint::clear_all();
-        }
+        failpoint::arm("wal.append.before_write", FailAction::Torn(7));
+        assert!(storage.log_commit(&insert(2, &["b"])).is_err());
+        failpoint::clear_all();
         drop(storage);
 
         // First recovery: the torn record is discarded and the file healed.
@@ -574,6 +575,7 @@ mod tests {
 
     #[test]
     fn io_error_on_log_commit_does_not_lose_later_acked_commits() {
+        let _guard = failpoint::test_guard();
         // The failed-fsync repro: epoch 2's append fails after its frame
         // reached the file, the server keeps running, the retried commit
         // reuses epoch 2, and two more commits are acknowledged. Recovery
@@ -581,13 +583,9 @@ mod tests {
         let root = temp_root("io-error");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::Always).unwrap();
         storage.log_commit(&insert(1, &["acked1"])).unwrap();
-        {
-            let _guard = failpoint::test_lock().lock();
-            failpoint::clear_all();
-            failpoint::arm("wal.append.before_sync", FailAction::IoError);
-            assert!(storage.log_commit(&insert(2, &["aborted"])).is_err());
-            failpoint::clear_all();
-        }
+        failpoint::arm("wal.append.before_sync", FailAction::IoError);
+        assert!(storage.log_commit(&insert(2, &["aborted"])).is_err());
+        failpoint::clear_all();
         storage.log_commit(&insert(2, &["acked2"])).unwrap();
         storage.log_commit(&insert(3, &["acked3"])).unwrap();
         drop(storage);
@@ -614,6 +612,7 @@ mod tests {
 
     #[test]
     fn crash_between_segments_and_manifest_keeps_the_old_checkpoint() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("crash-manifest");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         let mut store = RelationalStore::new();
@@ -625,13 +624,9 @@ mod tests {
         store.insert_fact("node", &["b"]);
         store.freeze();
         storage.log_commit(&insert(2, &["b"])).unwrap();
-        {
-            let _guard = failpoint::test_lock().lock();
-            failpoint::clear_all();
-            failpoint::arm("manifest.write.before_rename", FailAction::Crash);
-            assert!(storage.checkpoint(&store, 2).is_err());
-            failpoint::clear_all();
-        }
+        failpoint::arm("manifest.write.before_rename", FailAction::Crash);
+        assert!(storage.checkpoint(&store, 2).is_err());
+        failpoint::clear_all();
         drop(storage);
 
         // Recovery: old manifest + WAL replay reproduce the full store, and
@@ -652,6 +647,7 @@ mod tests {
 
     #[test]
     fn recoveries_counter_persists_across_checkpoints() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("recoveries");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         storage.log_commit(&insert(1, &["a"])).unwrap();
@@ -671,6 +667,7 @@ mod tests {
 
     #[test]
     fn nulls_survive_recovery_verbatim() {
+        let _guard = failpoint::test_guard();
         let root = temp_root("nulls");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
         let atom = Atom {

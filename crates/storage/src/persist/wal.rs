@@ -98,7 +98,7 @@ pub struct WalRecord {
 
 impl WalRecord {
     /// Serialize the full frame (length prefix + checksum + payload).
-    /// A batch whose payload would exceed [`codec::MAX_LEN`] is rejected
+    /// A batch whose payload would exceed `codec::MAX_LEN` (256 MiB) is rejected
     /// here — `read_wal` treats any frame past that bound as corrupt, so
     /// letting it reach the log would acknowledge a commit that recovery
     /// silently discards (together with the entire tail after it).
@@ -486,6 +486,7 @@ mod tests {
 
     #[test]
     fn append_and_read_round_trip() {
+        let _guard = failpoint::test_guard();
         let path = temp_wal("roundtrip");
         let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
         let r1 = record(1, WalOpKind::Insert, &["a", "b"]);
@@ -510,6 +511,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_dropped_not_propagated() {
+        let _guard = failpoint::test_guard();
         let path = temp_wal("truncated");
         let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["a"])).unwrap();
@@ -532,6 +534,7 @@ mod tests {
 
     #[test]
     fn corrupt_frame_is_detected_by_checksum() {
+        let _guard = failpoint::test_guard();
         let path = temp_wal("corrupt");
         let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["a"])).unwrap();
@@ -550,6 +553,7 @@ mod tests {
 
     #[test]
     fn bit_flips_anywhere_in_the_tail_never_surface_a_half_applied_epoch() {
+        let _guard = failpoint::test_guard();
         let path = temp_wal("fuzz");
         let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
         for epoch in 1..=5u64 {
@@ -583,6 +587,7 @@ mod tests {
 
     #[test]
     fn truncate_through_drops_checkpointed_records() {
+        let _guard = failpoint::test_guard();
         let path = temp_wal("truncate-through");
         let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
         for epoch in 1..=4u64 {
@@ -605,8 +610,7 @@ mod tests {
 
     #[test]
     fn failpoint_simulates_a_torn_append() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_wal("failpoint");
         let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["a"])).unwrap();
@@ -631,8 +635,7 @@ mod tests {
 
     #[test]
     fn io_error_during_append_rolls_back_so_retried_epochs_survive() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_wal("io-error");
         let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["acked1"]))
@@ -671,8 +674,7 @@ mod tests {
 
     #[test]
     fn simulated_crash_after_the_write_keeps_the_frame_and_poisons_the_handle() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_wal("crash-after-write");
         let mut wal = Wal::open(&path, FsyncPolicy::Always).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["a"])).unwrap();
@@ -695,8 +697,7 @@ mod tests {
 
     #[test]
     fn truncate_through_heals_a_poisoned_wal() {
-        let _guard = failpoint::test_lock().lock();
-        failpoint::clear_all();
+        let _guard = failpoint::test_guard();
         let path = temp_wal("heal");
         let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
         wal.append(&record(1, WalOpKind::Insert, &["a"])).unwrap();
@@ -719,6 +720,7 @@ mod tests {
 
     #[test]
     fn oversized_batches_are_rejected_at_encode_time() {
+        let _guard = failpoint::test_guard();
         // A batch whose payload exceeds the cap fails with InvalidInput —
         // append() calls encode() first, so the commit aborts before a
         // single byte reaches the file. (The cap is exercised via

@@ -87,8 +87,7 @@ fn apply(store: &mut RelationalStore, kind: WalOpKind, facts: &[Atom]) {
 /// oracle of acknowledged operations (or oracle + the in-flight op, the
 /// at-least-once case).
 fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize, torn: usize) {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
 
     let root = temp_root(tag);
     let storage = TenantStorage::create(&root, "prop", "prop program", FsyncPolicy::Off).unwrap();
@@ -191,8 +190,7 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
 /// must match the acknowledged oracle exactly — no in-flight allowance,
 /// because a still-running process never acknowledged the failed batch.
 fn run_workload_io_error(tag: &str, ops: &[Op], fail_at: usize, point_idx: usize) {
-    let _serialize = failpoint::test_lock().lock();
-    failpoint::clear_all();
+    let _serialize = failpoint::test_guard();
 
     let root = temp_root(tag);
     let storage = TenantStorage::create(&root, "prop", "prop program", FsyncPolicy::Off).unwrap();

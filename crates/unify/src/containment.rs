@@ -179,7 +179,7 @@ const PRUNE_HOMOMORPHISM_BUDGET: usize = 10_000;
 ///   `sub ⊑ sup` requires `preds(sup) ⊆ preds(sub)` — on hierarchy-shaped
 ///   rewritings the expensive checks become near-linear;
 /// * the homomorphism checks that do run are capped by
-///   [`PRUNE_HOMOMORPHISM_BUDGET`], so same-signature rewritings (where the
+///   `PRUNE_HOMOMORPHISM_BUDGET` (10,000), so same-signature rewritings (where the
 ///   bucketing cannot help) stay affordable at any width.
 pub fn prune_ucq(ucq: &UnionOfConjunctiveQueries) -> UnionOfConjunctiveQueries {
     prune_ucq_budgeted(ucq, PRUNE_HOMOMORPHISM_BUDGET).0
