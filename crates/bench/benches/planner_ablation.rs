@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ontorew_model::parse_query;
 use ontorew_rewrite::{rewrite, RewriteConfig};
-use ontorew_storage::{evaluate_cq_instrumented, EvalConfig, RelationalStore, StoreStatistics};
+use ontorew_storage::{evaluate_cq_instrumented, EvalConfig, StoreStatistics};
 use ontorew_workloads::{sensor_network_abox, sensor_network_ontology};
 
 fn bench(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
     println!("data size   config                      rows fetched   answers");
     for &measurements in &[1_000usize, 5_000, 20_000] {
         let data = sensor_network_abox(measurements / 50 + 10, 8, measurements, 7);
-        let store = RelationalStore::from_instance(&data);
+        let store = data;
         let stats = StoreStatistics::collect(&store);
         let configs: [(&str, EvalConfig<'_>); 4] = [
             (
@@ -63,7 +63,7 @@ fn bench(c: &mut Criterion) {
     }
 
     let data = sensor_network_abox(200, 8, 10_000, 7);
-    let store = RelationalStore::from_instance(&data);
+    let store = data;
     let stats = StoreStatistics::collect(&store);
     let mut group = c.benchmark_group("planner_ablation");
     group.sample_size(20);

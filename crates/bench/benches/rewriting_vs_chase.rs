@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ontorew_chase::{certain_answers, ChaseConfig};
 use ontorew_core::examples::{university_ontology, university_query};
 use ontorew_rewrite::{answer_by_rewriting, rewrite, RewriteConfig};
-use ontorew_storage::RelationalStore;
 use ontorew_workloads::university_abox;
 
 fn bench(c: &mut Criterion) {
@@ -25,13 +24,12 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for students in [100usize, 500, 2_000] {
         let data = university_abox(students, students / 10 + 1, students / 5 + 1, 17);
-        let store = RelationalStore::from_instance(&data);
         group.throughput(Throughput::Elements(data.len() as u64));
         group.bench_with_input(
             BenchmarkId::new("rewriting", students),
             &students,
             |b, _| {
-                b.iter(|| answer_by_rewriting(&ontology, &query, &store, &RewriteConfig::default()))
+                b.iter(|| answer_by_rewriting(&ontology, &query, &data, &RewriteConfig::default()))
             },
         );
         group.bench_with_input(

@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ontorew_core::examples::university_ontology;
 use ontorew_rewrite::{answer_by_rewriting, RewriteConfig};
 use ontorew_serve::{QueryService, ServiceConfig};
-use ontorew_storage::RelationalStore;
 use ontorew_workloads::university_abox;
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +12,7 @@ fn bench(c: &mut Criterion) {
 
     let ontology = university_ontology();
     let data = university_abox(2_000, 201, 401, 17);
-    let store = RelationalStore::from_instance(&data);
+    let store = data;
     let queries = ontorew_bench::serving_query_mix();
     let service = QueryService::new(ontology.clone(), store.clone(), ServiceConfig::default());
     // Warm the cache so the served path measures the steady state.

@@ -22,7 +22,6 @@ use ontorew_obda::{cross_check, ObdaSystem, Strategy};
 use ontorew_rewrite::{
     answer_by_rewriting, approximate_rewrite, rewrite, rewriting_growth, RewriteConfig,
 };
-use ontorew_storage::RelationalStore;
 use ontorew_workloads::{
     chain_program, hierarchy_program, random_program, star_program, university_abox,
     RandomProgramConfig,
@@ -272,11 +271,10 @@ pub fn experiment_rewriting_vs_chase(student_counts: &[usize]) -> String {
     for &students in student_counts {
         let data = university_abox(students, students / 10 + 1, students / 5 + 1, 17);
         let facts = data.len();
-        let store = RelationalStore::from_instance(&data);
+        let store = &data;
 
         let start = Instant::now();
-        let by_rewriting =
-            answer_by_rewriting(&ontology, &query, &store, &RewriteConfig::default());
+        let by_rewriting = answer_by_rewriting(&ontology, &query, store, &RewriteConfig::default());
         let rewrite_ms = start.elapsed().as_millis();
 
         let start = Instant::now();
@@ -403,7 +401,7 @@ pub fn experiment_serve_throughput(students: usize, repeats: usize, tcp_threads:
 
     let ontology = university_ontology();
     let abox = university_abox(students, students / 10 + 1, students / 5 + 1, 17);
-    let store = RelationalStore::from_instance(&abox);
+    let store = &abox;
     let queries = serving_query_mix();
     let mut out = String::new();
     writeln!(
@@ -429,7 +427,7 @@ pub fn experiment_serve_throughput(students: usize, repeats: usize, tcp_threads:
     // rewriting path and the chase ground truth.
     for q in &queries {
         let served = service.query(q).expect("serve answers");
-        let direct = answer_by_rewriting(&ontology, q, &store, &RewriteConfig::default());
+        let direct = answer_by_rewriting(&ontology, q, store, &RewriteConfig::default());
         let truth = certain_answers(&ontology, &abox, q, &ChaseConfig::default());
         assert!(served.exact && direct.is_exact() && truth.complete);
         assert!(
@@ -473,7 +471,7 @@ pub fn experiment_serve_throughput(students: usize, repeats: usize, tcp_threads:
     for _ in 0..repeats {
         for q in &queries {
             let start = Instant::now();
-            let result = answer_by_rewriting(&ontology, q, &store, &RewriteConfig::default());
+            let result = answer_by_rewriting(&ontology, q, store, &RewriteConfig::default());
             uncached_us.push(start.elapsed().as_micros() as u64);
             assert!(result.is_exact());
         }
@@ -571,7 +569,7 @@ pub fn experiment_planner_vs_forced(students: usize, repeats: usize) -> String {
 
     let ontology = university_ontology();
     let abox = university_abox(students, students / 10 + 1, students / 5 + 1, 17);
-    let store = RelationalStore::from_instance(&abox);
+    let store = abox;
     let planner = Planner::new(ontology);
     let mut out = String::new();
     writeln!(
@@ -649,7 +647,7 @@ pub fn experiment_planner_vs_forced(students: usize, repeats: usize) -> String {
     // Example 2: outside WR, weakly acyclic. The planner's chase plan is
     // exact; a forced rewriting is cut off at its budget and only sound.
     let planner = Planner::new(example2());
-    let mut db = RelationalStore::new();
+    let mut db = Instance::new();
     db.insert_fact("s", &["c", "c", "a"]);
     db.insert_fact("t", &["d", "a"]);
     let query = example2_query();
@@ -718,7 +716,7 @@ pub fn experiment_ingestion_incremental(
     .unwrap();
     let mut speedup_at_largest = 0.0f64;
     for &preload in preload_sizes {
-        let mut base = RelationalStore::new();
+        let mut base = Instance::new();
         for i in 0..preload {
             base.insert_fact("pair", &[&format!("p{i}"), &format!("q{i}")]);
         }
@@ -776,7 +774,7 @@ pub fn experiment_ingestion_incremental(
     let scr_plan = scratch_planner
         .prepare_forced(&query, PlanKind::Chase)
         .expect("classifiable");
-    let mut store = RelationalStore::from_instance(&abox);
+    let mut store = abox;
     // Warm version 0 on both planners (the chase-plan tenant's steady state).
     let _ = inc_plan.execute_versioned(&store, 0);
     let _ = scr_plan.execute_versioned(&store, 0);
@@ -792,7 +790,7 @@ pub fn experiment_ingestion_incremental(
             Atom::fact("attends", &[&student, "course0"]),
         ];
         for fact in &facts {
-            store.insert_atom(fact);
+            store.insert(fact.clone());
         }
         incremental_planner.record_delta(k, k + 1, &facts, store.len());
 
@@ -903,7 +901,7 @@ pub fn experiment_retraction_dred(students: usize, deletes: usize, why_samples: 
     let scr_plan = scratch_planner
         .prepare_forced(&query, PlanKind::Chase)
         .expect("classifiable");
-    let mut store = RelationalStore::from_instance(&abox);
+    let mut store = abox.clone();
     // The victims: extra students present in the warmed materialization,
     // retracted one per commit below.
     for k in 0..deletes {
@@ -925,7 +923,7 @@ pub fn experiment_retraction_dred(students: usize, deletes: usize, why_samples: 
             Atom::fact("attends", &[&student, "course0"]),
         ];
         for fact in &facts {
-            store.remove_atom(fact);
+            store.remove(fact);
         }
         incremental_planner.record_retraction(k, k + 1, &facts, store.len());
 
@@ -1095,7 +1093,7 @@ pub fn experiment_approximation_quality(depths: &[usize]) -> String {
     data.insert_fact("t", &["d2", "c"]);
     data.insert_fact("r", &["e", "f"]);
     data.insert_fact("s", &["c", "c", "a"]);
-    let store = RelationalStore::from_instance(&data);
+    let store = &data;
     let truth = certain_answers(&program, &data, &query, &ChaseConfig::default());
     let mut out = String::new();
     writeln!(out, "E10 — bounded-rewriting approximation on Example 2").unwrap();
@@ -1109,7 +1107,7 @@ pub fn experiment_approximation_quality(depths: &[usize]) -> String {
     writeln!(out, "depth  disjuncts  answered  recurrent-patterns").unwrap();
     for &depth in depths {
         let approx = approximate_rewrite(&program, &query, depth);
-        let answers = ontorew_rewrite::evaluate_rewriting(&approx.rewriting, &query, &store);
+        let answers = ontorew_rewrite::evaluate_rewriting(&approx.rewriting, &query, store);
         writeln!(
             out,
             "{depth:>5} {:>10} {:>9} {:>19}",
@@ -1183,7 +1181,7 @@ pub fn experiment_durability(students: usize, commits: usize, sizes: &[usize]) -
     let mut in_memory_p50 = 0u64;
     let mut every_n_p50 = 0u64;
     for (label, policy) in policies {
-        let store = RelationalStore::from_instance(&abox);
+        let store = abox.clone();
         let (service, root) = match policy {
             None => (
                 std::sync::Arc::new(QueryService::new(
@@ -1253,7 +1251,7 @@ pub fn experiment_durability(students: usize, commits: usize, sizes: &[usize]) -
     writeln!(out, "seed_students  facts  segments  recovery_ms").unwrap();
     for &n in sizes {
         let root = temp_root("recover");
-        let seed = RelationalStore::from_instance(&university_abox(n, n / 10 + 1, n / 5 + 1, 17));
+        let seed = university_abox(n, n / 10 + 1, n / 5 + 1, 17);
         let settings = DurabilitySettings {
             root: root.clone(),
             fsync: FsyncPolicy::Off,
@@ -1277,7 +1275,7 @@ pub fn experiment_durability(students: usize, commits: usize, sizes: &[usize]) -
         let start = Instant::now();
         let registry = TenantRegistry::recover(
             ontology.clone(),
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             settings,
         )
@@ -1317,7 +1315,7 @@ pub fn experiment_tracing_overhead(students: usize, repeats: usize) -> String {
 
     let ontology = university_ontology();
     let abox = university_abox(students, students / 10 + 1, students / 5 + 1, 17);
-    let store = RelationalStore::from_instance(&abox);
+    let store = abox;
     let queries = serving_query_mix();
     let mut out = String::new();
     writeln!(
@@ -1445,7 +1443,7 @@ pub fn experiment_goal_driven(student_counts: &[usize], iters: usize) -> String 
         "students   facts  goal_p50_us  chase_p50_us  speedup  goal_facts  full_facts  agree"
     )
     .unwrap();
-    let p50 = |plan: &PreparedQuery, store: &RelationalStore| -> u64 {
+    let p50 = |plan: &PreparedQuery, store: &Instance| -> u64 {
         let mut times: Vec<u64> = (0..iters.max(1))
             .map(|_| {
                 let start = Instant::now();
@@ -1460,7 +1458,7 @@ pub fn experiment_goal_driven(student_counts: &[usize], iters: usize) -> String 
     let mut speedup_at_smallest = 0.0_f64;
     for (n, &students) in student_counts.iter().enumerate() {
         let abox = registrar_abox(students, 8, 42);
-        let store = RelationalStore::from_instance(&abox);
+        let store = abox;
         let planner = Planner::new(registrar_ontology());
         let selective = registrar_queries().remove(0);
         let goal = planner.prepare(&selective);
@@ -1543,7 +1541,7 @@ pub fn experiment_generic_join(user_counts: &[usize], iters: usize) -> String {
         "users   facts  query     backtrack_us  generic_us  speedup  answers  cost_pick     cost_ok  agree"
     )
     .unwrap();
-    let p50 = |store: &RelationalStore, q: &ConjunctiveQuery, strategy: JoinStrategy| -> u64 {
+    let p50 = |store: &Instance, q: &ConjunctiveQuery, strategy: JoinStrategy| -> u64 {
         let config = EvalConfig {
             strategy: Some(strategy),
             ..EvalConfig::default()
@@ -1564,7 +1562,7 @@ pub fn experiment_generic_join(user_counts: &[usize], iters: usize) -> String {
     let mut best_speedup_at_largest = 0.0_f64;
     for (n, &users) in user_counts.iter().enumerate() {
         let abox = social_graph_abox(users, 8, 42);
-        let store = RelationalStore::from_instance(&abox);
+        let store = abox;
         let statistics = StoreStatistics::collect(&store);
         for (q, name) in social_graph_queries().iter().zip(names) {
             let bt = evaluate_cq_instrumented(

@@ -11,7 +11,7 @@
 
 use crate::engine::{chase, ChaseConfig, ChaseResult};
 use ontorew_model::prelude::*;
-use ontorew_storage::{evaluate_cq, evaluate_ucq, AnswerSet, RelationalStore};
+use ontorew_storage::{evaluate_cq, evaluate_ucq, AnswerSet};
 
 /// The result of a certain-answer computation.
 #[derive(Clone, Debug)]
@@ -58,8 +58,7 @@ pub fn certain_answers(
     config: &ChaseConfig,
 ) -> CertainAnswers {
     let result = chase(program, database, config);
-    let store = RelationalStore::from_instance(&result.instance);
-    let answers = evaluate_cq(&store, query).without_nulls();
+    let answers = evaluate_cq(&result.instance, query).without_nulls();
     CertainAnswers {
         answers,
         complete: result.is_universal_model(),
@@ -75,8 +74,7 @@ pub fn certain_answers_ucq(
     config: &ChaseConfig,
 ) -> CertainAnswers {
     let result = chase(program, database, config);
-    let store = RelationalStore::from_instance(&result.instance);
-    let answers = evaluate_ucq(&store, query).without_nulls();
+    let answers = evaluate_ucq(&result.instance, query).without_nulls();
     CertainAnswers {
         answers,
         complete: result.is_universal_model(),

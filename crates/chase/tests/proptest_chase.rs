@@ -257,11 +257,8 @@ proptest! {
             )];
             let query = ConjunctiveQuery::new(vars, body);
             let from_scratch = certain_answers(&program, &merged, &query, &config);
-            let store = ontorew_storage::RelationalStore::from_instance(
-                &incremental.result.instance,
-            );
             let from_incremental =
-                ontorew_storage::evaluate_cq(&store, &query).without_nulls();
+                ontorew_storage::evaluate_cq(&incremental.result.instance, &query).without_nulls();
             prop_assert_eq!(
                 &from_incremental, &from_scratch.answers,
                 "certain answers differ for {}", predicate
@@ -358,11 +355,8 @@ proptest! {
             )];
             let query = ConjunctiveQuery::new(vars, body);
             let from_scratch = certain_answers(&program, &survivors, &query, &config);
-            let store = ontorew_storage::RelationalStore::from_instance(
-                &retracted.result.instance,
-            );
             let from_retracted =
-                ontorew_storage::evaluate_cq(&store, &query).without_nulls();
+                ontorew_storage::evaluate_cq(&retracted.result.instance, &query).without_nulls();
             prop_assert_eq!(
                 &from_retracted, &from_scratch.answers,
                 "certain answers differ for {}", predicate

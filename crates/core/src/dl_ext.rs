@@ -381,8 +381,7 @@ mod tests {
 
         let mut data = Instance::new();
         data.insert_fact("advises", &["rossi", "dana"]);
-        let store = ontorew_storage::RelationalStore::from_instance(&data);
-        let answers = ontorew_storage::evaluate_ucq(&store, &rewriting.ucq);
+        let answers = ontorew_storage::evaluate_ucq(&data, &rewriting.ucq);
         // rossi knows dana because advises ⊑ knows.
         assert!(answers.contains_constants(&["rossi"]));
     }

@@ -257,8 +257,7 @@ mod tests {
         let mut data = Instance::new();
         data.insert_fact("professor", &["ada"]);
         data.insert_fact("lectures", &["grace", "db201"]);
-        let store = ontorew_storage::RelationalStore::from_instance(&data);
-        let answers = ontorew_storage::evaluate_ucq(&store, &rewriting.ucq);
+        let answers = ontorew_storage::evaluate_ucq(&data, &rewriting.ucq);
         // ada via professor ⊑ faculty ⊑ employee; grace via lectures ⊑ teaches,
         // ∃teaches ⊑ faculty ⊑ employee.
         assert!(answers.contains_constants(&["ada"]));

@@ -1,7 +1,7 @@
 use super::*;
 use ontorew_chase::{chase, ChaseConfig};
 use ontorew_model::parse_program;
-use ontorew_storage::{evaluate_cq, RelationalStore};
+use ontorew_storage::evaluate_cq;
 
 /// A Datalog registrar ontology: transitive prerequisite closure feeding a
 /// per-student obligation predicate. Full, single-head, weakly acyclic —
@@ -19,8 +19,8 @@ fn registrar() -> TgdProgram {
     .unwrap()
 }
 
-fn registrar_store() -> RelationalStore {
-    let mut store = RelationalStore::new();
+fn registrar_store() -> Instance {
+    let mut store = Instance::new();
     // Two students, a three-course prerequisite chain, one shared course.
     store.insert_fact("enrolled", &["ann", "db3"]);
     store.insert_fact("enrolled", &["bob", "ml1"]);
@@ -32,11 +32,11 @@ fn registrar_store() -> RelationalStore {
 
 fn answers_goal_driven(
     magic: &MagicProgram,
-    store: &RelationalStore,
+    store: &Instance,
     query: &ConjunctiveQuery,
     config: &ChaseConfig,
 ) -> ontorew_storage::AnswerSet {
-    let mut instance = store.to_instance();
+    let mut instance = store.clone();
     for seed in &magic.seeds {
         instance.insert(seed.clone());
     }
@@ -45,18 +45,18 @@ fn answers_goal_driven(
         result.is_universal_model(),
         "magic chase must terminate here"
     );
-    evaluate_cq(&RelationalStore::from_instance(&result.instance), query).without_nulls()
+    evaluate_cq(&result.instance, query).without_nulls()
 }
 
 fn answers_full(
     program: &TgdProgram,
-    store: &RelationalStore,
+    store: &Instance,
     query: &ConjunctiveQuery,
     config: &ChaseConfig,
 ) -> ontorew_storage::AnswerSet {
-    let result = chase(program, &store.to_instance(), config);
+    let result = chase(program, store, config);
     assert!(result.is_universal_model());
-    evaluate_cq(&RelationalStore::from_instance(&result.instance), query).without_nulls()
+    evaluate_cq(&result.instance, query).without_nulls()
 }
 
 #[test]
@@ -87,14 +87,13 @@ fn selective_query_is_admissible_and_equivalent() {
     }
 
     // The restriction actually prunes: bob's obligations are never derived.
-    let mut instance = store.to_instance();
+    let mut instance = store.clone();
     for seed in &magic.seeds {
         instance.insert(seed.clone());
     }
     let result = chase(&magic.program, &instance, &ChaseConfig::restricted(64));
-    let restricted_store = RelationalStore::from_instance(&result.instance);
     let bob = ontorew_model::parse_query(r#"q(P) :- mustComplete("bob", P)"#).unwrap();
-    assert_eq!(evaluate_cq(&restricted_store, &bob).len(), 0);
+    assert_eq!(evaluate_cq(&result.instance, &bob).len(), 0);
 }
 
 #[test]
@@ -166,7 +165,7 @@ fn multi_head_rules_join_the_unguarded_cascade() {
     assert!(magic.unrestricted.contains("left"));
     assert_eq!(magic.guarded_rules, 2);
 
-    let mut store = RelationalStore::new();
+    let mut store = Instance::new();
     store.insert_fact("base", &["a"]);
     store.insert_fact("edge", &["a", "b"]);
     store.insert_fact("edge", &["b", "t"]);

@@ -20,11 +20,11 @@
 //! That is what makes the serving layer's epoch publication and the
 //! planner's incremental materializations O(batch) instead of O(store).
 //!
-//! The `ontorew-storage` crate builds its relational store on the same
-//! [`IndexedRelation`] machinery and converts to and from this type by
-//! cloning relations ([`Instance::from_relations`] one way, `relation` the
-//! other), so a conversion of frozen data shares every segment and copies
-//! only the tails.
+//! The same type is the extensional store of the serving layer:
+//! `ontorew-storage` evaluates queries over it and persists it. The database
+//! the DBMS holds and the instance the chase extends are one set of facts, so
+//! a published snapshot is chased, evaluated and checkpointed in place, and a
+//! `clone()` of frozen data shares every segment and copies only the tails.
 
 use crate::atom::{Atom, Predicate};
 use crate::signature::Signature;
@@ -736,41 +736,19 @@ impl Instance {
         inst
     }
 
-    /// Build an instance from already-indexed relations, one per predicate
-    /// (empty ones are skipped). The relations are moved in as they are: a
-    /// clone of a frozen [`IndexedRelation`] shares every frozen segment by
-    /// `Arc`, so an instance assembled from such clones costs
-    /// O(#relations + #segments) and copies no row — later inserts land in
-    /// the relations' own tails and never touch the shared segments.
-    ///
-    /// # Panics
-    /// Panics if a relation's arity does not match its predicate, or if a
-    /// predicate occurs twice.
-    pub fn from_relations<I: IntoIterator<Item = (Predicate, IndexedRelation)>>(
-        relations: I,
-    ) -> Self {
-        let mut inst = Instance::new();
-        for (predicate, rel) in relations {
-            assert_eq!(
-                rel.arity(),
-                predicate.arity,
-                "arity mismatch for {predicate}"
-            );
-            if rel.is_empty() {
-                continue;
-            }
-            inst.size += rel.len();
-            let previous = inst.relations.insert(predicate, rel);
-            assert!(previous.is_none(), "{predicate} given twice");
-        }
-        inst
-    }
-
     /// Insert a ground atom; returns `true` if it was not already present.
     ///
     /// # Panics
-    /// Panics if the atom contains a variable.
+    /// Panics if the atom contains a variable or its arity does not match
+    /// its predicate's (checked in release builds too: rows of the wrong
+    /// width would corrupt the relation's column indexes).
     pub fn insert(&mut self, atom: Atom) -> bool {
+        assert_eq!(
+            atom.terms.len(),
+            atom.predicate.arity,
+            "tuple arity mismatch for {}",
+            atom.predicate
+        );
         assert!(
             atom.is_ground(),
             "cannot insert non-ground atom {atom} into an instance"
@@ -825,7 +803,12 @@ impl Instance {
         removed
     }
 
-    /// Remove one ground atom; returns `true` if it was present.
+    /// Remove one ground atom; returns `true` if it was present. A miss costs
+    /// one dedup probe per segment; a hit replaces only the segment holding
+    /// the row by a patched copy (O(rows of that segment), see
+    /// [`IndexedRelation::remove_rows`]), while every other segment and
+    /// relation stays shared with existing clones. Batch removals through
+    /// [`Instance::remove_atoms`] so each segment is copied at most once.
     pub fn remove(&mut self, atom: &Atom) -> bool {
         match self.relations.get_mut(&atom.predicate) {
             Some(rel) => {
@@ -842,6 +825,21 @@ impl Instance {
     /// True if the instance contains the given ground atom.
     pub fn contains(&self, atom: &Atom) -> bool {
         self.contains_tuple(atom.predicate, &atom.terms)
+    }
+
+    /// A clone of `instance`. Exists only because the benchmark's pinned API
+    /// (`benchmark/src/sut.rs`) calls it through `ontorew-storage`'s store
+    /// alias of this type; in-tree code calls `clone()`.
+    pub fn from_instance(instance: &Instance) -> Self {
+        instance.clone()
+    }
+
+    /// The same as [`Instance::contains`]. Exists only because the
+    /// benchmark's pinned API (`benchmark/src/sut.rs`) calls it through
+    /// `ontorew-storage`'s store alias of this type; in-tree code calls
+    /// `contains`.
+    pub fn contains_atom(&self, atom: &Atom) -> bool {
+        self.contains(atom)
     }
 
     /// True if the instance contains the tuple under `predicate`.
@@ -1041,6 +1039,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "arity")]
+    fn arity_is_enforced() {
+        let mut db = Instance::new();
+        db.insert_fact("r", &["a", "b"]);
+        db.insert(Atom {
+            predicate: Predicate::new("r", 2),
+            terms: vec![Term::constant("a")],
+        });
+    }
+
+    #[test]
     fn relation_size_and_predicates() {
         let mut db = Instance::new();
         db.insert_fact("r", &["a", "b"]);
@@ -1177,19 +1186,24 @@ mod tests {
         let mut db = Instance::new();
         db.insert_fact("r", &["a", "b"]);
         db.insert_fact("r", &["b", "c"]);
+        db.insert_fact("r", &["a", "d"]);
         db.insert_fact("s", &["a"]);
         db.freeze();
         assert!(db.remove(&Atom::fact("r", &["a", "b"])));
         assert!(!db.remove(&Atom::fact("r", &["a", "b"])));
-        assert_eq!(db.len(), 2);
+        assert_eq!(db.len(), 3);
         assert!(!db.contains(&Atom::fact("r", &["a", "b"])));
         assert!(db.contains(&Atom::fact("r", &["b", "c"])));
-        // The rebuilt relation still answers index probes.
+        // The patched segment still answers index probes, and its posting
+        // lists no longer name the removed row.
         let probe = Atom::new("r", vec![Term::variable("X"), Term::constant("c")]);
         assert_eq!(db.candidates(&probe).count(), 1);
-        // Reinsertion after removal works (dedup state was rebuilt).
+        let r = db.relation(Predicate::new("r", 2)).unwrap();
+        assert_eq!(r.postings_len(0, &Term::constant("a")), 1);
+        assert_eq!(r.postings_len(1, &Term::constant("b")), 0);
+        // Reinsertion after removal works (the dedup state was patched).
         assert!(db.insert_fact("r", &["a", "b"]));
-        assert_eq!(db.len(), 3);
+        assert_eq!(db.len(), 4);
     }
 
     #[test]
@@ -1302,8 +1316,12 @@ mod tests {
         let mut db = Instance::new();
         db.insert_fact("r", &["a"]);
         db.insert_fact("s", &["b"]);
+        db.freeze();
+        assert!(!db.remove(&Atom::fact("zzz", &["a"])), "unknown predicate");
         assert!(db.remove(&Atom::fact("r", &["a"])));
         assert_eq!(db.predicates().count(), 1);
+        assert_eq!(db.signature().len(), 1);
+        assert!(!db.signature().contains(Predicate::new("r", 1)));
         assert!(db.relation(Predicate::new("r", 1)).is_none());
         let mut copy = Instance::new();
         copy.insert_fact("s", &["b"]);
@@ -1380,6 +1398,9 @@ mod tests {
         assert_eq!(rel.postings_len(1, &Term::constant("b")), 1);
         assert_eq!(rel.postings_len(1, &Term::constant("zzz")), 0);
         assert!(rel.contains(&[Term::constant("a"), Term::constant("c")]));
+        // Postings stay current for inserts after a probe.
+        assert!(rel.insert(vec![Term::constant("a"), Term::constant("d")]));
+        assert_eq!(rel.postings_len(0, &Term::constant("a")), 3);
     }
 
     #[test]
@@ -1506,11 +1527,21 @@ mod tests {
                 .unwrap()
                 .shares_segments_with(copy.relation(p).unwrap()));
         }
-        // The clone can keep growing without touching the original.
+        // The clone can keep growing without touching the original, and
+        // probes see the growth only on the clone.
         let mut grown = copy.clone();
         grown.insert_fact("r", &["new", "b"]);
         assert_eq!(grown.len(), 12);
         assert_eq!(db.len(), 11);
+        assert!(!db.contains(&Atom::fact("r", &["new", "b"])));
+        let probe = Atom::new("r", vec![Term::variable("X"), Term::constant("b")]);
+        assert_eq!(grown.candidates(&probe).count(), 11);
+        assert_eq!(db.candidates(&probe).count(), 10);
+        let r = Predicate::new("r", 2);
+        assert!(grown
+            .relation(r)
+            .unwrap()
+            .shares_segments_with(db.relation(r).unwrap()));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! columns of one source relation.
 
 use ontorew_model::prelude::*;
-use ontorew_storage::RelationalStore;
 use serde::{Deserialize, Serialize};
 
 /// A GAV mapping assertion: `target(x_{p_1}, ..., x_{p_k}) :- source(x_1, ..., x_n)`.
@@ -97,11 +96,11 @@ impl MappingSet {
 
     /// Materialise the virtual ontology-level database (the "retrieved ABox"):
     /// apply every mapping to every tuple of its source relation.
-    pub fn apply(&self, source: &RelationalStore) -> Instance {
+    pub fn apply(&self, source: &Instance) -> Instance {
         let mut out = Instance::new();
         for mapping in &self.mappings {
             if let Some(relation) = source.relation(mapping.source) {
-                for tuple in relation.scan() {
+                for tuple in relation.rows() {
                     out.insert(mapping.apply_tuple(tuple));
                 }
             }
@@ -114,8 +113,8 @@ impl MappingSet {
 mod tests {
     use super::*;
 
-    fn source_store() -> RelationalStore {
-        let mut db = RelationalStore::new();
+    fn source_store() -> Instance {
+        let mut db = Instance::new();
         // A wide legacy relation: emp(id, name, dept, salary)
         db.insert_fact("emp", &["e1", "alice", "cs", "100"]);
         db.insert_fact("emp", &["e2", "bob", "math", "90"]);
@@ -141,7 +140,7 @@ mod tests {
         let store = source_store();
         let set = MappingSet::identity_for(&store.signature());
         let abox = set.apply(&store);
-        assert_eq!(abox, store.to_instance());
+        assert_eq!(abox, store);
     }
 
     #[test]

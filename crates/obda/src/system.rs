@@ -21,7 +21,7 @@ use ontorew_core::ClassificationReport;
 use ontorew_model::prelude::*;
 use ontorew_plan::{Execution, PlanKind, Planner, PlannerConfig, PreparedQuery, StrategyTaken};
 use ontorew_rewrite::RewriteConfig;
-use ontorew_storage::{AnswerSet, RelationalStore};
+use ontorew_storage::AnswerSet;
 
 /// The query answering strategy override.
 ///
@@ -59,7 +59,7 @@ pub struct ObdaAnswers {
 #[derive(Clone, Debug)]
 pub struct ObdaSystem {
     mappings: MappingSet,
-    source: RelationalStore,
+    source: Instance,
     planner: Planner,
 }
 
@@ -67,17 +67,12 @@ impl ObdaSystem {
     /// Build a system whose source already speaks the ontology vocabulary
     /// (identity mappings).
     pub fn new(ontology: TgdProgram, data: Instance) -> Self {
-        let source = RelationalStore::from_instance(&data);
-        let mappings = MappingSet::identity_for(&source.signature());
-        ObdaSystem::with_mappings(ontology, mappings, source)
+        let mappings = MappingSet::identity_for(&data.signature());
+        ObdaSystem::with_mappings(ontology, mappings, data)
     }
 
     /// Build a system with explicit mappings over an arbitrary source store.
-    pub fn with_mappings(
-        ontology: TgdProgram,
-        mappings: MappingSet,
-        source: RelationalStore,
-    ) -> Self {
+    pub fn with_mappings(ontology: TgdProgram, mappings: MappingSet, source: Instance) -> Self {
         ObdaSystem {
             mappings,
             source,
@@ -174,8 +169,7 @@ impl ObdaSystem {
     pub fn execute(&self, prepared: &PreparedQuery) -> Execution {
         // Rewritings are evaluated over the retrieved ABox (ontology
         // vocabulary); with identity mappings this is the source itself.
-        let abox_store = RelationalStore::from_instance(&self.retrieved_abox());
-        prepared.execute_versioned(&abox_store, 0)
+        prepared.execute_versioned(&self.retrieved_abox(), 0)
     }
 }
 
@@ -243,7 +237,7 @@ mod tests {
     #[test]
     fn non_identity_mappings_bridge_a_legacy_schema() {
         let ontology = parse_program("[R1] worksIn(X, D) -> department(D).").unwrap();
-        let mut source = RelationalStore::new();
+        let mut source = Instance::new();
         source.insert_fact("emp", &["e1", "alice", "cs", "100"]);
         source.insert_fact("emp", &["e2", "bob", "math", "90"]);
         let mut mappings = MappingSet::new();

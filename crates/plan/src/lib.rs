@@ -28,7 +28,6 @@
 //! ```
 //! use ontorew_model::{parse_program, parse_query, Instance};
 //! use ontorew_plan::{PlanKind, Planner, StrategyTaken};
-//! use ontorew_storage::RelationalStore;
 //!
 //! // Example 2 of the paper: not FO-rewritable, but weakly acyclic — the
 //! // planner picks chase materialization, and says why.
@@ -41,7 +40,7 @@
 //! let prepared = planner.prepare(&parse_query(r#"q() :- r("a", X)"#).unwrap());
 //! assert_eq!(prepared.plan().kind(), PlanKind::Chase);
 //!
-//! let mut store = RelationalStore::new();
+//! let mut store = Instance::new();
 //! store.insert_fact("s", &["c", "c", "a"]);
 //! store.insert_fact("t", &["d", "a"]);
 //! let execution = prepared.execute(&store);

@@ -15,9 +15,7 @@ use ontorew_magic::{
 };
 use ontorew_model::prelude::*;
 use ontorew_rewrite::{evaluate_rewriting_configured, rewrite, RewriteConfig, Rewriting};
-use ontorew_storage::{
-    estimate_join_cost, evaluate_cq, EvalConfig, RelationalStore, StoreStatistics,
-};
+use ontorew_storage::{estimate_join_cost, evaluate_cq, EvalConfig, StoreStatistics};
 use ontorew_telemetry::{global_registry, span};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -159,20 +157,17 @@ const MATERIALIZATION_CACHE_VERSIONS: usize = 4;
 /// between queries without letting the walk grow unbounded.
 const MATERIALIZATION_DELTA_EDGES: usize = 64;
 
-/// A chase materialization of one data version: the chased store, its
+/// A chase materialization of one data version: the chased instance, its
 /// guarantees, the chase state an incremental continuation extends, and the
 /// run statistics.
 #[derive(Debug)]
 pub struct Materialization {
-    /// The chased store the query is evaluated over (frozen: clones share
-    /// segments).
-    pub store: RelationalStore,
-    /// True if the chase reached a fixpoint (the store is a universal
+    /// True if the chase reached a fixpoint (the instance is a universal
     /// model, so evaluation yields exactly the certain answers). An
     /// incremental materialization is complete iff its base was and its own
     /// continuation reached a fixpoint.
     pub complete: bool,
-    /// Facts in the chased store.
+    /// Facts in the chased instance.
     pub facts: usize,
     /// Labelled nulls invented by the chase.
     pub nulls: usize,
@@ -188,8 +183,8 @@ pub struct Materialization {
     /// cheap sanity guard against version-token misuse.
     source_facts: usize,
     /// The chase state (frozen instance + fired keys) that
-    /// [`chase_incremental`] seeds from when this version is extended.
-    /// `store` is derived from the same instance and shares its segments.
+    /// [`chase_incremental`] seeds from when this version is extended, and
+    /// whose instance queries are evaluated over.
     chased: ChaseResult,
     /// The labelled nulls of the chased instance. Kept as a shared set so
     /// an incremental extension can compute its exact null count in
@@ -199,9 +194,35 @@ pub struct Materialization {
 }
 
 impl Materialization {
-    /// The chased instance behind the evaluation store (shares its
-    /// segments). This is what `WHY NOT` explanations probe for blocked
-    /// rule bodies.
+    /// The one constructor: freeze the chased instance — so it clones in
+    /// O(#segments), which is what makes later incremental extensions and
+    /// evaluations over it cheap (the size-tiered merge builds new segments;
+    /// the source's stay as they are) — and take the run statistics.
+    /// `micros` runs from `start` to the end of the freeze.
+    fn new(
+        mut chased: ChaseResult,
+        complete: bool,
+        null_set: NullSet,
+        mode: MaterializationMode,
+        source_facts: usize,
+        start: Instant,
+    ) -> Self {
+        chased.instance.freeze();
+        Materialization {
+            complete,
+            facts: chased.instance.len(),
+            nulls: null_set.len(),
+            rounds: chased.rounds,
+            micros: start.elapsed().as_micros() as u64,
+            mode,
+            source_facts,
+            chased,
+            null_set,
+        }
+    }
+
+    /// The chased instance (frozen), which queries are evaluated over and
+    /// `WHY NOT` explanations probe for blocked rule bodies.
     pub fn instance(&self) -> &Instance {
         &self.chased.instance
     }
@@ -330,6 +351,16 @@ struct MaterializationCache {
 }
 
 impl MaterializationCache {
+    /// A read-only look (no recency refresh) at the entry for `version`,
+    /// if it matches the store's size guard: for callers that only decide
+    /// or report from the cached state.
+    fn peek(&self, version: u64, source_facts: usize) -> Option<Arc<Materialization>> {
+        match self.entries.get(&version) {
+            Some((_, m)) if m.source_facts == source_facts => Some(Arc::clone(m)),
+            _ => None,
+        }
+    }
+
     /// A cached entry for `version` matching the store's size guard,
     /// refreshing its recency.
     fn get(&mut self, version: u64, source_facts: usize) -> Option<Arc<Materialization>> {
@@ -459,7 +490,7 @@ impl PlannerShared {
     /// to work with and callers fall back to size-threshold signals.
     fn store_statistics(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
     ) -> Option<Arc<StoreStatistics>> {
         let source_facts = store.len();
@@ -501,11 +532,7 @@ impl PlannerShared {
     /// cache lock, and at most once per version: a concurrent miss on the
     /// same version waits for the first computation and is served (and
     /// counted) as a cache hit.
-    fn materialize(
-        &self,
-        store: &RelationalStore,
-        version: Option<u64>,
-    ) -> (Arc<Materialization>, bool) {
+    fn materialize(&self, store: &Instance, version: Option<u64>) -> (Arc<Materialization>, bool) {
         let source_facts = store.len();
         let mut mat_span = span("plan.materialize");
         let mut _landing = None;
@@ -572,29 +599,19 @@ impl PlannerShared {
         }
         mat_span.attr("mode", MaterializationMode::Scratch);
         let start = Instant::now();
-        // The chase starts from the store's own frozen segments (see
-        // `run_magic_chase`): only the derived facts are new rows.
-        let mut result = chase(&self.program, &store.to_instance(), &self.chase_config);
-        // Freeze so the cached instance clones in O(#segments) — what makes
-        // later incremental extensions and hybrid peeks cheap — and so the
-        // evaluation store shares its segments instead of copying the rows.
-        // The size-tiered merge builds new segments; the store's stay as
-        // they are.
-        result.instance.freeze();
-        let chased_store = RelationalStore::from_instance(&result.instance);
+        // The chase's working copy shares the store's frozen segments: only
+        // the derived facts are new rows.
+        let result = chase(&self.program, store, &self.chase_config);
+        let complete = result.is_universal_model();
         let null_set = Arc::new(result.instance.nulls());
-        let materialization = Arc::new(Materialization {
-            complete: result.is_universal_model(),
-            facts: result.instance.len(),
-            nulls: null_set.len(),
-            rounds: result.rounds,
-            micros: start.elapsed().as_micros() as u64,
-            mode: MaterializationMode::Scratch,
-            source_facts,
-            store: chased_store,
-            chased: result,
+        let materialization = Arc::new(Materialization::new(
+            result,
+            complete,
             null_set,
-        });
+            MaterializationMode::Scratch,
+            source_facts,
+            start,
+        ));
         record_materialization_mode(&MaterializationMode::Scratch);
         if let Some(v) = version {
             self.materializations
@@ -611,7 +628,7 @@ impl PlannerShared {
     /// case the caller falls back to a scratch chase.
     fn materialize_incremental(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: u64,
         from: u64,
         base: &Arc<Materialization>,
@@ -649,25 +666,17 @@ impl PlannerShared {
             &delta_instance,
             &self.chase_config,
         );
-        let mut result = incremental.result;
-        result.instance.freeze();
-        // The evaluation store shares the frozen instance's segments —
-        // O(#segments), no rows duplicated (the base's segments are reused
-        // by the continuation's copy-on-write instance clone).
-        let chased_store = RelationalStore::from_instance(&result.instance);
-        let null_set = extend_null_set(&base.null_set, &incremental.added);
-        let materialization = Arc::new(Materialization {
-            complete: base.complete && result.is_universal_model(),
-            facts: result.instance.len(),
-            nulls: null_set.len(),
-            rounds: result.rounds,
-            micros: start.elapsed().as_micros() as u64,
-            mode: MaterializationMode::Incremental { from, delta_facts },
-            source_facts: store.len(),
-            store: chased_store,
-            chased: result,
-            null_set,
-        });
+        // The continuation's copy-on-write instance clone reuses the base's
+        // segments: only the delta's closure is new rows.
+        let complete = base.complete && incremental.result.is_universal_model();
+        let materialization = Arc::new(Materialization::new(
+            incremental.result,
+            complete,
+            extend_null_set(&base.null_set, &incremental.added),
+            MaterializationMode::Incremental { from, delta_facts },
+            store.len(),
+            start,
+        ));
         self.materializations
             .lock()
             .insert(version, Arc::clone(&materialization));
@@ -684,7 +693,7 @@ impl PlannerShared {
     /// caller then falls back to a scratch chase.
     fn materialize_retraction(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: u64,
         from: u64,
         base: &Arc<Materialization>,
@@ -760,7 +769,7 @@ impl PlannerShared {
                 }
             }
         }
-        let mut result = current?;
+        let result = current?;
         // End-to-end guard, the retraction-aware analogue of the insert
         // path's size check: after replaying the lineage, the surviving
         // base assertions of the derivation graph *are* the source facts
@@ -770,24 +779,18 @@ impl PlannerShared {
         if asserted != store.len() {
             return None;
         }
-        result.instance.freeze();
-        let chased_store = RelationalStore::from_instance(&result.instance);
-        let materialization = Arc::new(Materialization {
+        let materialization = Arc::new(Materialization::new(
+            result,
             complete,
-            facts: result.instance.len(),
-            nulls: null_set.len(),
-            rounds: result.rounds,
-            micros: start.elapsed().as_micros() as u64,
-            mode: MaterializationMode::Dred {
+            null_set,
+            MaterializationMode::Dred {
                 from,
                 delta_facts,
                 removed_facts,
             },
-            source_facts: store.len(),
-            store: chased_store,
-            chased: result,
-            null_set,
-        });
+            store.len(),
+            start,
+        ));
         self.materializations
             .lock()
             .insert(version, Arc::clone(&materialization));
@@ -806,7 +809,6 @@ impl PlannerShared {
 /// ```
 /// use ontorew_model::{parse_program, parse_query, Instance};
 /// use ontorew_plan::{PlanKind, Planner, StrategyTaken};
-/// use ontorew_storage::RelationalStore;
 ///
 /// // Linear (FO-rewritable) *and* weakly acyclic: both strategies are
 /// // complete, so the plan is hybrid and cost signals decide per execution
@@ -816,7 +818,7 @@ impl PlannerShared {
 /// let prepared = planner.prepare(&parse_query("q(X) :- person(X)").unwrap());
 /// assert_eq!(prepared.plan().kind(), PlanKind::Hybrid);
 ///
-/// let mut store = RelationalStore::new();
+/// let mut store = Instance::new();
 /// store.insert_fact("student", &["sara"]);
 /// let execution = prepared.execute(&store);
 /// assert!(execution.is_exact());
@@ -903,7 +905,7 @@ impl Planner {
     /// instead of re-chasing the store.
     pub fn materialize(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
     ) -> (Arc<Materialization>, bool) {
         self.inner.materialize(store, version)
@@ -919,10 +921,10 @@ impl Planner {
         version: u64,
         source_facts: usize,
     ) -> Option<Arc<Materialization>> {
-        match self.inner.materializations.lock().entries.get(&version) {
-            Some((_, m)) if m.source_facts == source_facts => Some(Arc::clone(m)),
-            _ => None,
-        }
+        self.inner
+            .materializations
+            .lock()
+            .peek(version, source_facts)
     }
 
     /// Record that data version `version` was produced from `parent` by
@@ -937,18 +939,7 @@ impl Planner {
     /// and purely advisory — an unverifiable or missing lineage simply
     /// falls back to the scratch chase.
     pub fn record_delta(&self, parent: u64, version: u64, facts: &[Atom], resulting_facts: usize) {
-        // Copy the batch before taking the cache lock; the critical section
-        // is then a plain map insert.
-        let edge = DeltaEdge {
-            parent,
-            kind: DeltaKind::Insert,
-            facts: facts.into(),
-            resulting_facts,
-        };
-        self.inner
-            .materializations
-            .lock()
-            .record_delta(parent, version, edge);
+        self.record_edge(DeltaKind::Insert, parent, version, facts, resulting_facts);
     }
 
     /// Record that data version `version` was produced from `parent` by
@@ -969,9 +960,24 @@ impl Planner {
         facts: &[Atom],
         resulting_facts: usize,
     ) {
+        self.record_edge(DeltaKind::Delete, parent, version, facts, resulting_facts);
+    }
+
+    /// The body of [`Planner::record_delta`] and
+    /// [`Planner::record_retraction`].
+    fn record_edge(
+        &self,
+        kind: DeltaKind,
+        parent: u64,
+        version: u64,
+        facts: &[Atom],
+        resulting_facts: usize,
+    ) {
+        // Copy the batch before taking the cache lock; the critical section
+        // is then a plain map insert.
         let edge = DeltaEdge {
             parent,
-            kind: DeltaKind::Delete,
+            kind,
             facts: facts.into(),
             resulting_facts,
         };
@@ -1173,7 +1179,7 @@ impl Planner {
     /// Convenience: prepare and execute in one call (no plan reuse, no
     /// materialization caching). Long-lived callers should prepare once and
     /// execute many times instead.
-    pub fn answer(&self, query: &ConjunctiveQuery, store: &RelationalStore) -> Execution {
+    pub fn answer(&self, query: &ConjunctiveQuery, store: &Instance) -> Execution {
         self.prepare(query).execute(store)
     }
 }
@@ -1366,12 +1372,11 @@ impl PreparedQuery {
     /// was obtained (scratch, incremental, or DRed). It also runs the cost
     /// model over the store's statistics and prints the per-strategy
     /// estimates the executor would decide with.
-    pub fn explain_versioned(&self, store: &RelationalStore, version: u64) -> String {
+    pub fn explain_versioned(&self, store: &Instance, version: u64) -> String {
         let mut out = self.explain();
-        let cached = match self.shared.materializations.lock().entries.get(&version) {
-            Some((_, m)) if m.source_facts == store.len() => Some((m.mode, m.complete, m.facts)),
-            _ => None,
-        };
+        let cached = self
+            .peek(store, Some(version))
+            .map(|m| (m.mode, m.complete, m.facts));
         match cached {
             Some((mode, complete, facts)) => out.push_str(&format!(
                 "cached materialization: {mode}, complete={complete}, facts={facts}\n"
@@ -1413,7 +1418,7 @@ impl PreparedQuery {
 
     /// Execute the plan over `store` with no data-version token: chase-based
     /// plans materialize afresh on every call.
-    pub fn execute(&self, store: &RelationalStore) -> Execution {
+    pub fn execute(&self, store: &Instance) -> Execution {
         self.run(store, None)
     }
 
@@ -1422,11 +1427,11 @@ impl PreparedQuery {
     /// shared across queries and executions of the same version. Callers
     /// must bump the token whenever the data changes (`ontorew-serve` uses
     /// its snapshot epoch, tagged per tenant).
-    pub fn execute_versioned(&self, store: &RelationalStore, version: u64) -> Execution {
+    pub fn execute_versioned(&self, store: &Instance, version: u64) -> Execution {
         self.run(store, Some(version))
     }
 
-    fn run(&self, store: &RelationalStore, version: Option<u64>) -> Execution {
+    fn run(&self, store: &Instance, version: Option<u64>) -> Execution {
         let start = Instant::now();
         let mut run_span = span("plan.run");
         run_span.attr("kind", self.plan.kind().label());
@@ -1478,7 +1483,7 @@ impl PreparedQuery {
     fn run_rewriting(
         &self,
         rewriting: &Arc<Rewriting>,
-        store: &RelationalStore,
+        store: &Instance,
         statistics: Option<&StoreStatistics>,
         strategy: StrategyTaken,
         reason: String,
@@ -1517,14 +1522,14 @@ impl PreparedQuery {
 
     fn run_materialization(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
         reason: String,
     ) -> Execution {
         let (materialization, cached) = self.shared.materialize(store, version);
         let start = Instant::now();
         let eval_span = span("plan.evaluate");
-        let answers = evaluate_cq(&materialization.store, &self.query).without_nulls();
+        let answers = evaluate_cq(materialization.instance(), &self.query).without_nulls();
         drop(eval_span);
         Execution {
             answers,
@@ -1578,7 +1583,7 @@ impl PreparedQuery {
     /// one evaluation of the original query over it.
     fn materialization_cost(
         &self,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
         cached: bool,
         statistics: &StoreStatistics,
@@ -1603,21 +1608,16 @@ impl PreparedQuery {
     fn run_hybrid(
         &self,
         rewriting: &Arc<Rewriting>,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
         statistics: Option<&StoreStatistics>,
     ) -> Execution {
         // A read-only peek (no recency refresh): riding the cache is decided
         // here, but the actual use happens in `run_materialization`, which
         // refreshes recency through the normal lookup.
-        let (materialization_cached, cached_complete) = version
-            .map(
-                |v| match self.shared.materializations.lock().entries.get(&v) {
-                    Some((_, m)) if m.source_facts == store.len() => (true, m.complete),
-                    _ => (false, false),
-                },
-            )
-            .unwrap_or((false, false));
+        let cached = self.peek(store, version);
+        let materialization_cached = cached.is_some();
+        let cached_complete = cached.is_some_and(|m| m.complete);
         if !rewriting.complete {
             return self.run_materialization(
                 store,
@@ -1702,20 +1702,19 @@ impl PreparedQuery {
     /// original query over the result and, when the restricted chase did not
     /// reach a fixpoint, decides the fallback.
     ///
-    /// No row of the store is copied on the way in or out: `to_instance`
-    /// shares the snapshot's frozen segments (O(#relations + #segments)),
-    /// the chase's own working copy shares them again, and the seeds and
-    /// derived facts land in per-relation tails — which are all the later
-    /// `from_instance` of the result copies. Only an *unfrozen* store (one
-    /// built in place and never published) has its tails copied as well.
+    /// No row of the store is copied: the seeded clone shares the
+    /// snapshot's frozen segments (O(#relations + #segments)), the chase's
+    /// own working copy shares them again, and the seeds and derived facts
+    /// land in per-relation tails. Only an *unfrozen* store (one built in
+    /// place and never published) has its tails copied as well.
     fn run_magic_chase(
         &self,
         magic: &Arc<MagicProgram>,
-        store: &RelationalStore,
+        store: &Instance,
     ) -> (ontorew_chase::ChaseResult, u64) {
         let mut chase_span = span("magic.chase");
         let start = Instant::now();
-        let mut instance = store.to_instance();
+        let mut instance = store.clone();
         for seed in &magic.seeds {
             instance.insert(seed.clone());
         }
@@ -1732,15 +1731,17 @@ impl PreparedQuery {
     /// The planner's estimate of how many facts a *full* materialization of
     /// this store would hold: the cached materialization's exact size when
     /// one exists for this data version, otherwise a store-size heuristic.
-    fn full_model_estimate(&self, store: &RelationalStore, version: Option<u64>) -> usize {
-        version
-            .and_then(
-                |v| match self.shared.materializations.lock().entries.get(&v) {
-                    Some((_, m)) if m.source_facts == store.len() => Some(m.facts),
-                    _ => None,
-                },
-            )
+    fn full_model_estimate(&self, store: &Instance, version: Option<u64>) -> usize {
+        self.peek(store, version)
+            .map(|m| m.facts)
             .unwrap_or_else(|| store.len().saturating_mul(1 + self.shared.program.len()))
+    }
+
+    /// The cached materialization of `store` at `version`, if any, without
+    /// refreshing its recency (see `MaterializationCache::peek`).
+    fn peek(&self, store: &Instance, version: Option<u64>) -> Option<Arc<Materialization>> {
+        let v = version?;
+        self.shared.materializations.lock().peek(v, store.len())
     }
 
     /// The goal-driven plan to chase: the prepared (structurally-adorned)
@@ -1785,19 +1786,11 @@ impl PreparedQuery {
     fn run_goal_driven(
         &self,
         magic: &Arc<MagicProgram>,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
         statistics: Option<&Arc<StoreStatistics>>,
     ) -> Execution {
-        let warm = version
-            .map(
-                |v| match self.shared.materializations.lock().entries.get(&v) {
-                    Some((_, m)) if m.source_facts == store.len() => m.complete,
-                    _ => false,
-                },
-            )
-            .unwrap_or(false);
-        if warm {
+        if self.peek(store, version).is_some_and(|m| m.complete) {
             return self.run_materialization(
                 store,
                 version,
@@ -1822,10 +1815,9 @@ impl PreparedQuery {
         }
         let facts_derived = result.instance.len();
         let nulls = result.instance.nulls().len();
-        let restricted = RelationalStore::from_instance(&result.instance);
         let start = Instant::now();
         let eval_span = span("plan.evaluate");
-        let answers = evaluate_cq(&restricted, &self.query).without_nulls();
+        let answers = evaluate_cq(&result.instance, &self.query).without_nulls();
         drop(eval_span);
         Execution {
             answers,
@@ -1874,7 +1866,7 @@ impl PreparedQuery {
         &self,
         rewriting: &Arc<Rewriting>,
         magic: Option<&Arc<MagicProgram>>,
-        store: &RelationalStore,
+        store: &Instance,
         version: Option<u64>,
         statistics: Option<&Arc<StoreStatistics>>,
     ) -> Execution {
@@ -1897,9 +1889,8 @@ impl PreparedQuery {
             let terminated = result.outcome == ChaseOutcome::Terminated;
             let facts_derived = result.instance.len();
             let nulls = result.instance.nulls().len();
-            let restricted = RelationalStore::from_instance(&result.instance);
             let start = Instant::now();
-            let more = evaluate_cq(&restricted, &self.query).without_nulls();
+            let more = evaluate_cq(&result.instance, &self.query).without_nulls();
             execution.answers.union_with(&more);
             let provenance = &mut execution.provenance;
             provenance.strategy = StrategyTaken::Combined;
@@ -1934,7 +1925,7 @@ impl PreparedQuery {
         }
         let (materialization, cached) = self.shared.materialize(store, version);
         let start = Instant::now();
-        let more = evaluate_cq(&materialization.store, &self.query).without_nulls();
+        let more = evaluate_cq(materialization.instance(), &self.query).without_nulls();
         execution.answers.union_with(&more);
         let provenance = &mut execution.provenance;
         provenance.strategy = StrategyTaken::Combined;
@@ -1980,7 +1971,7 @@ mod tests {
         let prepared = planner.prepare(&parse_query("ans(X, Z) :- r(X, Z)").unwrap());
         assert_eq!(prepared.plan().kind(), PlanKind::Hybrid);
 
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["a", "b", "c"]);
         store.insert_fact("t", &["d"]);
         let execution = prepared.execute(&store);
@@ -2004,7 +1995,7 @@ mod tests {
             }
         ));
 
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let execution = prepared.execute(&store);
@@ -2053,7 +2044,7 @@ mod tests {
         assert!(!planner.classification().chase_terminates());
         let prepared = planner.prepare(&parse_query("q(X) :- person(X)").unwrap());
         assert_eq!(prepared.plan().kind(), PlanKind::Rewrite);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         let execution = prepared.execute(&store);
         assert!(execution.is_exact());
@@ -2077,7 +2068,7 @@ mod tests {
         let prepared = planner.prepare(&parse_query(r#"q() :- r("a", X)"#).unwrap());
         assert_eq!(prepared.plan().kind(), PlanKind::BestEffort);
 
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let execution = prepared.execute(&store);
@@ -2104,7 +2095,7 @@ mod tests {
         }
         let program = parse_program(&text).unwrap();
         let query = parse_query("q(X) :- top(X)").unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("sub3", &["a"]);
         store.insert_fact("sub7", &["b"]);
         store.insert_fact("top", &["c"]);
@@ -2151,7 +2142,7 @@ mod tests {
         let prepared = planner.prepare(&query);
         assert_eq!(prepared.plan().kind(), PlanKind::Hybrid);
         assert!(prepared.plan().disjuncts() > 1);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["a", "b", "c"]);
         store.insert_fact("t", &["d"]);
 
@@ -2182,7 +2173,7 @@ mod tests {
     fn materializations_are_cached_per_version() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
 
@@ -2207,7 +2198,7 @@ mod tests {
     #[test]
     fn materialization_eviction_is_lru_not_lowest_version() {
         let planner = Planner::new(example2());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         // Fill the 4-slot cache with versions 10, 20, 30, 40.
         for v in [10, 20, 30, 40] {
@@ -2249,7 +2240,7 @@ mod tests {
         assert_eq!(prepared.plan().kind(), PlanKind::Hybrid);
         assert!(!prepared.plan().rewriting().unwrap().complete);
         assert!(prepared.guarantees_exact(), "chase fallback is exact");
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("sub7", &["a"]);
         let execution = prepared.execute(&store);
         assert_eq!(
@@ -2267,7 +2258,7 @@ mod tests {
     fn recorded_deltas_enable_incremental_materialization() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
 
         let cold = prepared.execute_versioned(&store, 1);
@@ -2280,7 +2271,7 @@ mod tests {
         // Commit a batch, record the edge, query the new version.
         let batch = vec![Atom::fact("s", &["c", "c", "a"])];
         for fact in &batch {
-            store.insert_atom(fact);
+            store.insert(fact.clone());
         }
         planner.record_delta(1, 2, &batch, store.len());
         let warm = prepared.execute_versioned(&store, 2);
@@ -2310,7 +2301,7 @@ mod tests {
     fn delta_chains_compose_across_multiple_commits() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&parse_query("p() :- s(X, Y, Z)").unwrap());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         let _ = prepared.execute_versioned(&store, 10);
 
@@ -2318,7 +2309,7 @@ mod tests {
         for i in 0..3 {
             let batch = vec![Atom::fact("t", &[&format!("d{i}"), "a"])];
             for fact in &batch {
-                store.insert_atom(fact);
+                store.insert(fact.clone());
             }
             planner.record_delta(version, version + 1, &batch, store.len());
             version += 1;
@@ -2354,7 +2345,7 @@ mod tests {
     fn recorded_retractions_enable_dred_materialization() {
         let planner = Planner::with_config(example2(), provenance_config());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let cold = prepared.execute_versioned(&store, 1);
@@ -2367,7 +2358,7 @@ mod tests {
         // Retract the s fact: the derived r atom (and everything chased
         // from it) loses its only support.
         let removed = vec![Atom::fact("s", &["c", "c", "a"])];
-        store.remove_atom(&removed[0]);
+        store.remove(&removed[0]);
         planner.record_retraction(1, 2, &removed, store.len());
         let warm = prepared.execute_versioned(&store, 2);
         assert!(
@@ -2401,13 +2392,13 @@ mod tests {
     fn retraction_without_provenance_falls_back_to_scratch() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let _ = prepared.execute_versioned(&store, 1);
 
         let removed = vec![Atom::fact("s", &["c", "c", "a"])];
-        store.remove_atom(&removed[0]);
+        store.remove(&removed[0]);
         planner.record_retraction(1, 2, &removed, store.len());
         let execution = prepared.execute_versioned(&store, 2);
         assert_eq!(
@@ -2424,17 +2415,17 @@ mod tests {
     fn mixed_insert_delete_lineage_composes() {
         let planner = Planner::with_config(example2(), provenance_config());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         let _ = prepared.execute_versioned(&store, 1);
 
         let inserted_s = vec![Atom::fact("s", &["c", "c", "a"])];
-        store.insert_atom(&inserted_s[0]);
+        store.insert(inserted_s[0].clone());
         planner.record_delta(1, 2, &inserted_s, store.len());
         let inserted_t = vec![Atom::fact("t", &["e", "a"])];
-        store.insert_atom(&inserted_t[0]);
+        store.insert(inserted_t[0].clone());
         planner.record_delta(2, 3, &inserted_t, store.len());
-        store.remove_atom(&inserted_s[0]);
+        store.remove(&inserted_s[0]);
         planner.record_retraction(3, 4, &inserted_s, store.len());
 
         // No query ran at versions 2 and 3: the miss at 4 replays all
@@ -2471,7 +2462,7 @@ mod tests {
     fn versioned_explain_reports_the_cached_mode() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         assert!(prepared
             .explain_versioned(&store, 5)
@@ -2494,13 +2485,13 @@ mod tests {
         )
         .unwrap();
         let planner = Planner::new(program);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("person", &["alice"]);
         let (base, _) = planner.materialize(&store, Some(1));
         assert_eq!(base.nulls, 1, "hasParent(alice, n1)");
 
         let batch = vec![Atom::fact("vip", &["alice"])];
-        store.insert_atom(&batch[0]);
+        store.insert(batch[0].clone());
         planner.record_delta(1, 2, &batch, store.len());
         let (extended, _) = planner.materialize(&store, Some(2));
         assert_eq!(
@@ -2513,7 +2504,7 @@ mod tests {
         // The continuation derives q(n1), re-using the base's null: still
         // exactly one distinct null, both in the stat and in the store.
         assert_eq!(extended.nulls, 1);
-        assert_eq!(extended.nulls, extended.store.to_instance().nulls().len());
+        assert_eq!(extended.nulls, extended.instance().nulls().len());
     }
 
     /// The DRed replay maintains the null set by the delta in both
@@ -2524,7 +2515,7 @@ mod tests {
     fn dred_null_count_follows_the_delta() {
         let program = parse_program("[R1] person(X) -> hasParent(X, N).").unwrap();
         let planner = Planner::with_config(program, provenance_config());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("person", &["alice"]);
         store.insert_fact("person", &["bob"]);
         store.insert_fact("hasParent", &["alice", "zoe"]);
@@ -2533,7 +2524,7 @@ mod tests {
 
         // Withdrawing alice's witness re-fires her trigger: one more null.
         let witness = vec![Atom::fact("hasParent", &["alice", "zoe"])];
-        store.remove_atom(&witness[0]);
+        store.remove(&witness[0]);
         planner.record_retraction(1, 2, &witness, store.len());
         let (refired, _) = planner.materialize(&store, Some(2));
         assert!(matches!(refired.mode, MaterializationMode::Dred { .. }));
@@ -2542,7 +2533,7 @@ mod tests {
 
         // Removing bob takes his invented parent — and its null — along.
         let bob = vec![Atom::fact("person", &["bob"])];
-        store.remove_atom(&bob[0]);
+        store.remove(&bob[0]);
         planner.record_retraction(2, 3, &bob, store.len());
         let (shrunk, _) = planner.materialize(&store, Some(3));
         assert!(matches!(shrunk.mode, MaterializationMode::Dred { .. }));
@@ -2556,14 +2547,14 @@ mod tests {
     fn invalid_delta_lineage_falls_back_to_scratch() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         let _ = prepared.execute_versioned(&store, 1);
 
         // The recorded batch claims one new fact, but the store actually
         // grew by two (a second fact slipped in without being recorded).
         let batch = vec![Atom::fact("s", &["c", "c", "a"])];
-        store.insert_atom(&batch[0]);
+        store.insert(batch[0].clone());
         store.insert_fact("t", &["d2", "c"]);
         planner.record_delta(1, 2, &batch, store.len() - 1);
         let execution = prepared.execute_versioned(&store, 2);
@@ -2581,7 +2572,7 @@ mod tests {
     fn version_token_misuse_recomputes_instead_of_serving_stale_data() {
         let planner = Planner::new(example2());
         let prepared = planner.prepare(&example2_query());
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("t", &["d", "a"]);
         assert!(!prepared.execute_versioned(&store, 1).answers.as_boolean());
         store.insert_fact("s", &["c", "c", "a"]);
@@ -2610,7 +2601,7 @@ mod tests {
                 materialized: MaterializationGuarantee::Bounded
             }
         ));
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("person", &["alice"]);
         let execution = forced.execute(&store);
         assert!(!execution.is_exact(), "bounded chase is an approximation");
@@ -2662,7 +2653,7 @@ mod tests {
         assert_eq!(prepared.plan().kind(), PlanKind::GoalDriven);
         assert!(prepared.guarantees_exact());
 
-        let store = RelationalStore::from_instance(&ontorew_workloads::registrar_abox(200, 8, 5));
+        let store = ontorew_workloads::registrar_abox(200, 8, 5);
         let execution = prepared.execute(&store);
         assert_eq!(execution.provenance.strategy, StrategyTaken::GoalDriven);
         assert!(execution.is_exact());
@@ -2701,7 +2692,7 @@ mod tests {
         assert!(planner.chase_config().track_provenance);
         let selective = &ontorew_workloads::registrar_queries()[0];
         let prepared = planner.prepare(selective);
-        let store = RelationalStore::from_instance(&ontorew_workloads::registrar_abox(200, 8, 5));
+        let store = ontorew_workloads::registrar_abox(200, 8, 5);
         let QueryPlan::GoalDriven { magic } = prepared.plan() else {
             panic!("selective registrar queries are goal-driven");
         };
@@ -2729,8 +2720,7 @@ mod tests {
         let planner = Planner::new(ontorew_workloads::registrar_ontology());
         let selective = &ontorew_workloads::registrar_queries()[0];
         let prepared = planner.prepare(selective);
-        let mut store =
-            RelationalStore::from_instance(&ontorew_workloads::registrar_abox(300, 8, 5));
+        let mut store = ontorew_workloads::registrar_abox(300, 8, 5);
         store.freeze();
         let before = store.clone();
 
@@ -2743,7 +2733,7 @@ mod tests {
         for p in store.predicates() {
             let rel = store.relation(p).unwrap();
             let chased = restricted.instance.relation(p).unwrap();
-            assert!(chased.shares_segments_with(rel.indexed()), "{p} was copied");
+            assert!(chased.shares_segments_with(rel), "{p} was copied");
         }
 
         let execution = prepared.execute_versioned(&store, 7);
@@ -2771,13 +2761,12 @@ mod tests {
     fn one_fact_commits_share_the_model_across_cached_versions() {
         let planner =
             Planner::with_config(ontorew_workloads::registrar_ontology(), provenance_config());
-        let mut store =
-            RelationalStore::from_instance(&ontorew_workloads::registrar_abox(400, 8, 5));
+        let mut store = ontorew_workloads::registrar_abox(400, 8, 5);
         let (first, _) = planner.materialize(&store, Some(0));
         let model = first.provenance().unwrap();
         let model_bytes = model.bytes_estimate();
         // Logical bytes summed over the versions currently cached.
-        let cached_bytes = |latest: u64, store: &RelationalStore| -> usize {
+        let cached_bytes = |latest: u64, store: &Instance| -> usize {
             (0..MATERIALIZATION_CACHE_VERSIONS as u64)
                 .filter_map(|back| latest.checked_sub(back))
                 .filter_map(|v| {
@@ -2789,7 +2778,7 @@ mod tests {
         let mut after_warm_up = 0;
         for commit in 1..=200u64 {
             let fact = Atom::fact("enrolled", &[&format!("newcomer{commit}"), "course3"]);
-            assert!(store.insert_atom(&fact));
+            assert!(store.insert(fact.clone()));
             planner.record_delta(commit - 1, commit, &[fact], store.len());
             let (materialization, cached) = planner.materialize(&store, Some(commit));
             assert!(!cached);
@@ -2911,7 +2900,7 @@ mod tests {
             ),
         ];
         for (program, query, facts) in cases {
-            let mut store = RelationalStore::new();
+            let mut store = Instance::new();
             for (pred, row) in &facts {
                 store.insert_fact(pred, row);
             }
@@ -2951,7 +2940,7 @@ mod tests {
     fn one_shot_answer_path() {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
         let planner = Planner::new(program);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         let execution = planner.answer(&parse_query("q(X) :- person(X)").unwrap(), &store);
         assert!(execution.is_exact());

@@ -3,7 +3,6 @@
 //! `magic_adornments_total` counter while it is read.
 
 use ontorew_plan::{PlanKind, Planner, StrategyTaken};
-use ontorew_storage::RelationalStore;
 use ontorew_telemetry::global_registry;
 
 /// Two executions of one prepared selective query on the same data version
@@ -15,7 +14,7 @@ fn two_executions_on_one_version_adorn_once() {
     let planner = Planner::new(ontorew_workloads::registrar_ontology());
     let prepared = planner.prepare(&ontorew_workloads::registrar_queries()[0]);
     assert_eq!(prepared.plan().kind(), PlanKind::GoalDriven);
-    let mut store = RelationalStore::from_instance(&ontorew_workloads::registrar_abox(200, 8, 5));
+    let mut store = ontorew_workloads::registrar_abox(200, 8, 5);
     store.freeze();
     let adornments = || {
         global_registry()

@@ -16,7 +16,7 @@ use ontorew_model::prelude::*;
 use ontorew_plan::{
     rewrite_goal_driven, Inadmissible, PlanKind, Planner, PlannerConfig, PlannerError,
 };
-use ontorew_storage::{evaluate_cq, RelationalStore};
+use ontorew_storage::evaluate_cq;
 use proptest::prelude::*;
 
 const CLASSES: usize = 5;
@@ -115,8 +115,8 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     ]
 }
 
-fn store_of(facts: &[(String, Vec<String>)]) -> RelationalStore {
-    let mut store = RelationalStore::new();
+fn store_of(facts: &[(String, Vec<String>)]) -> Instance {
+    let mut store = Instance::new();
     for (p, args) in facts {
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
         store.insert_fact(p, &refs);
@@ -151,9 +151,9 @@ proptest! {
         let store = store_of(&facts);
         for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
             let config = variant_config(variant);
-            let full = chase(&program, &store.to_instance(), &config);
+            let full = chase(&program, &store, &config);
             prop_assert!(full.is_universal_model(), "Datalog chase terminates");
-            let mut seeded = store.to_instance();
+            let mut seeded = store.clone();
             for seed in &magic.seeds {
                 seeded.insert(seed.clone());
             }
@@ -172,12 +172,12 @@ proptest! {
                 "the restriction must not derive more than the full model"
             );
             let goal = evaluate_cq(
-                &RelationalStore::from_instance(&restricted.instance),
+                &restricted.instance,
                 &query,
             )
             .without_nulls();
             let full_answers = evaluate_cq(
-                &RelationalStore::from_instance(&full.instance),
+                &full.instance,
                 &query,
             )
             .without_nulls();
@@ -258,7 +258,7 @@ fn example2_falls_back_to_the_full_chase() {
     let prepared = planner.prepare(&example2_query());
     assert_eq!(prepared.plan().kind(), PlanKind::Chase);
     assert!(prepared.explain().contains("goal-driven inadmissible"));
-    let mut store = RelationalStore::new();
+    let mut store = Instance::new();
     store.insert_fact("s", &["c", "c", "a"]);
     store.insert_fact("t", &["d", "a"]);
     let execution = prepared.execute(&store);

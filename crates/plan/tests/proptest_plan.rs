@@ -9,7 +9,6 @@
 use ontorew_chase::{chase, equivalent_up_to_null_renaming, ChaseConfig};
 use ontorew_model::prelude::*;
 use ontorew_plan::{PlanKind, Planner, PlannerConfig};
-use ontorew_storage::RelationalStore;
 use proptest::prelude::*;
 
 /// One generated rule of the linear, weakly-acyclic family: subclass edges,
@@ -79,8 +78,8 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     ]
 }
 
-fn store_of(facts: &[(String, Vec<String>)]) -> RelationalStore {
-    let mut store = RelationalStore::new();
+fn store_of(facts: &[(String, Vec<String>)]) -> Instance {
+    let mut store = Instance::new();
     for (p, args) in facts {
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
         store.insert_fact(p, &refs);
@@ -139,7 +138,7 @@ proptest! {
         let program = program_of(&specs);
         let planner = Planner::new(program.clone());
         let prepared = planner.prepare(&query);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         let mut version = 0u64;
         // Version 0 starts materialized (the serving layer's epoch 0 state).
         let _ = prepared.execute_versioned(&store, version);
@@ -152,7 +151,7 @@ proptest! {
                 })
                 .collect();
             for atom in &atoms {
-                store.insert_atom(atom);
+                store.insert(atom.clone());
             }
             planner.record_delta(version, version + 1, &atoms, store.len());
             version += 1;
@@ -177,15 +176,15 @@ proptest! {
         // may have answered everything by rewriting) agrees with a
         // reference chase of the accumulated store.
         let (materialization, _cached) = planner.materialize(&store, Some(version));
-        let reference = chase(&program, &store.to_instance(), &ChaseConfig::default());
+        let reference = chase(&program, &store, &ChaseConfig::default());
         prop_assert!(materialization.complete);
         // Certain answers of the materialization equal the reference chase
         // (the instances themselves may differ in restricted-chase
         // witnesses, so the comparison is at the answer level).
-        let from_cache = ontorew_storage::evaluate_cq(&materialization.store, &query)
+        let from_cache = ontorew_storage::evaluate_cq(materialization.instance(), &query)
             .without_nulls();
         let from_reference = ontorew_storage::evaluate_cq(
-            &RelationalStore::from_instance(&reference.instance),
+            &reference.instance,
             &query,
         )
         .without_nulls();
@@ -224,7 +223,7 @@ proptest! {
             },
         );
         let prepared = planner.prepare(&query);
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         let mut version = 0u64;
         // Version 0 starts materialized (the serving layer's epoch 0 state).
         let _ = prepared.execute_versioned(&store, version);
@@ -240,12 +239,12 @@ proptest! {
                 // Retract the batch (absent facts are no-ops, like the
                 // service); the delete edge is recorded either way.
                 for atom in &atoms {
-                    store.remove_atom(atom);
+                    store.remove(atom);
                 }
                 planner.record_retraction(version, version + 1, &atoms, store.len());
             } else {
                 for atom in &atoms {
-                    store.insert_atom(atom);
+                    store.insert(atom.clone());
                 }
                 planner.record_delta(version, version + 1, &atoms, store.len());
             }
@@ -275,11 +274,11 @@ proptest! {
         );
         let (materialization, _cached) = planner.materialize(&store, Some(version));
         prop_assert!(materialization.complete);
-        let reference = chase(&program, &store.to_instance(), &ChaseConfig::default());
-        let from_cache = ontorew_storage::evaluate_cq(&materialization.store, &query)
+        let reference = chase(&program, &store, &ChaseConfig::default());
+        let from_cache = ontorew_storage::evaluate_cq(materialization.instance(), &query)
             .without_nulls();
         let from_reference = ontorew_storage::evaluate_cq(
-            &RelationalStore::from_instance(&reference.instance),
+            &reference.instance,
             &query,
         )
         .without_nulls();
@@ -299,9 +298,9 @@ proptest! {
         let (materialization, cached) = planner.materialize(&store, Some(1));
         prop_assert!(!cached);
         prop_assert!(materialization.complete);
-        let reference = chase(&program, &store.to_instance(), &ChaseConfig::default());
+        let reference = chase(&program, &store, &ChaseConfig::default());
         prop_assert!(equivalent_up_to_null_renaming(
-            &materialization.store.to_instance(),
+            materialization.instance(),
             &reference.instance,
         ));
         // And the version cache returns the same artifact.

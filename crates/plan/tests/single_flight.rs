@@ -3,7 +3,6 @@
 //! counter while it is read.
 
 use ontorew_plan::{Planner, PlannerConfig};
-use ontorew_storage::RelationalStore;
 use ontorew_telemetry::global_registry;
 use std::sync::Barrier;
 
@@ -17,7 +16,7 @@ fn concurrent_misses_on_one_version_materialize_once() {
         ontorew_workloads::registrar_ontology(),
         PlannerConfig::default(),
     );
-    let store = RelationalStore::from_instance(&ontorew_workloads::registrar_abox(1500, 8, 3));
+    let store = ontorew_workloads::registrar_abox(1500, 8, 3);
     let registry = global_registry();
     let computed = |mode: &str| {
         registry

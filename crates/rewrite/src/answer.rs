@@ -1,4 +1,4 @@
-//! Query answering by rewriting + evaluation over the extensional store.
+//! Query answering by rewriting + evaluation over the stored facts.
 //!
 //! This is the OBDA answering path the paper advocates: the ontology is
 //! compiled away by rewriting the query into a UCQ, which is then evaluated
@@ -10,7 +10,6 @@ use crate::rq::RQuery;
 use ontorew_model::prelude::*;
 use ontorew_storage::{
     evaluate_cq_instrumented, evaluate_ucq, evaluate_ucq_configured, AnswerSet, EvalConfig,
-    RelationalStore,
 };
 use std::collections::BTreeMap;
 
@@ -36,7 +35,7 @@ impl RewritingAnswers {
 pub fn answer_by_rewriting(
     program: &TgdProgram,
     query: &ConjunctiveQuery,
-    store: &RelationalStore,
+    store: &Instance,
     config: &RewriteConfig,
 ) -> RewritingAnswers {
     let rewriting = rewrite(program, query, config);
@@ -48,7 +47,7 @@ pub fn answer_by_rewriting(
 pub fn evaluate_rewriting(
     rewriting: &Rewriting,
     original_query: &ConjunctiveQuery,
-    store: &RelationalStore,
+    store: &Instance,
 ) -> AnswerSet {
     let mut answers = AnswerSet::empty(original_query.answer_vars.clone());
     answers.union_with(&evaluate_ucq(store, &rewriting.ucq));
@@ -65,7 +64,7 @@ pub fn evaluate_rewriting(
 pub fn evaluate_rewriting_configured(
     rewriting: &Rewriting,
     original_query: &ConjunctiveQuery,
-    store: &RelationalStore,
+    store: &Instance,
     config: &EvalConfig<'_>,
 ) -> AnswerSet {
     let threads = std::thread::available_parallelism()
@@ -89,7 +88,7 @@ pub fn evaluate_rewriting_configured(
 /// is expanded into the full answer tuple with the constants filled in.
 fn evaluate_grounded_disjunct(
     disjunct: &RQuery,
-    store: &RelationalStore,
+    store: &Instance,
     config: &EvalConfig<'_>,
     answers: &mut AnswerSet,
 ) {
@@ -136,8 +135,8 @@ mod tests {
     use super::*;
     use ontorew_model::{parse_program, parse_query};
 
-    fn store() -> RelationalStore {
-        let mut db = RelationalStore::new();
+    fn store() -> Instance {
+        let mut db = Instance::new();
         db.insert_fact("student", &["sara"]);
         db.insert_fact("professor", &["alice"]);
         db.insert_fact("teaches", &["alice", "db101"]);
@@ -163,7 +162,7 @@ mod tests {
     #[test]
     fn existential_knowledge_answers_boolean_queries() {
         let p = parse_program("[R1] professor(X) -> teaches(X, C).").unwrap();
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("professor", &["bob"]);
         let q = parse_query("q() :- teaches(Y, C)").unwrap();
         let result = answer_by_rewriting(&p, &q, &db, &RewriteConfig::default());
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn open_variables_do_not_leak_unknown_values() {
         let p = parse_program("[R1] professor(X) -> teaches(X, C).").unwrap();
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("professor", &["bob"]);
         let q = parse_query("q(X, C) :- teaches(X, C)").unwrap();
         let result = answer_by_rewriting(&p, &q, &db, &RewriteConfig::default());
@@ -185,7 +184,7 @@ mod tests {
     #[test]
     fn grounded_disjuncts_contribute_constant_answers() {
         let p = parse_program("[R1] visited(X) -> city(rome).").unwrap();
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("visited", &["marco"]);
         let q = parse_query("q(C) :- city(C)").unwrap();
         let result = answer_by_rewriting(&p, &q, &db, &RewriteConfig::default());
@@ -202,19 +201,15 @@ mod tests {
              [R3] teaches(X, C) -> course(C).",
         )
         .unwrap();
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("gradStudent", &["gina"]);
         db.insert_fact("student", &["sara"]);
         db.insert_fact("teaches", &["alice", "db101"]);
         let q = parse_query("q(X) :- person(X)").unwrap();
 
         let by_rewriting = answer_by_rewriting(&p, &q, &db, &RewriteConfig::default());
-        let by_chase = ontorew_chase::certain_answers(
-            &p,
-            &db.to_instance(),
-            &q,
-            &ontorew_chase::ChaseConfig::default(),
-        );
+        let by_chase =
+            ontorew_chase::certain_answers(&p, &db, &q, &ontorew_chase::ChaseConfig::default());
         assert!(by_rewriting.is_exact());
         assert!(by_chase.complete);
         let a: Vec<_> = by_rewriting.answers.iter().cloned().collect();
@@ -241,8 +236,7 @@ mod tests {
         db.insert_fact("attends", &["sara", "db101"]);
         let q = parse_query("q(S) :- advisedBy(S, P), teaches(P, C), attends(S2, C), person(S2)")
             .unwrap();
-        let store = RelationalStore::from_instance(&db);
-        let by_rewriting = answer_by_rewriting(&p, &q, &store, &RewriteConfig::default());
+        let by_rewriting = answer_by_rewriting(&p, &q, &db, &RewriteConfig::default());
         let by_chase =
             ontorew_chase::certain_answers(&p, &db, &q, &ontorew_chase::ChaseConfig::default());
         assert!(by_rewriting.is_exact());

@@ -342,8 +342,7 @@ mod tests {
         // derivable within the bound.
         let mut db = Instance::new();
         db.insert_fact("s", &["c", "c", "a"]);
-        let store = ontorew_storage::RelationalStore::from_instance(&db);
-        let answers = crate::answer::evaluate_rewriting(&approx.rewriting, &q, &store);
+        let answers = crate::answer::evaluate_rewriting(&approx.rewriting, &q, &db);
         assert!(answers.as_boolean());
         let certain =
             ontorew_chase::certain_answers(&p, &db, &q, &ontorew_chase::ChaseConfig::default());

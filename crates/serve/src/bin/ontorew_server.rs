@@ -16,11 +16,12 @@
 //! wait for that line — and runs until a client sends `SHUTDOWN`, at which
 //! point in-flight connections are drained and all WALs are fsynced.
 
+use ontorew_model::Instance;
 use ontorew_serve::{
     serve, serve_registry, Compactor, CompactorConfig, DurabilitySettings, QueryService,
     ServerConfig, ServiceConfig, TenantRegistry,
 };
-use ontorew_storage::{FsyncPolicy, RelationalStore};
+use ontorew_storage::FsyncPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -82,11 +83,9 @@ fn main() -> ExitCode {
 
     let program = ontorew_core::examples::university_ontology();
     let store = if students == 0 {
-        RelationalStore::new()
+        Instance::new()
     } else {
-        let abox =
-            ontorew_workloads::university_abox(students, students / 10 + 1, students / 5 + 1, 17);
-        RelationalStore::from_instance(&abox)
+        ontorew_workloads::university_abox(students, students / 10 + 1, students / 5 + 1, 17)
     };
     eprintln!(
         "university ontology: {} rules, {} seed facts",

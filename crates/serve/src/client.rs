@@ -681,12 +681,12 @@ mod tests {
     use crate::server::{serve, ServerConfig};
     use crate::service::{QueryService, ServiceConfig};
     use ontorew_model::parse_program;
-    use ontorew_storage::RelationalStore;
+    use ontorew_model::Instance;
     use std::sync::Arc;
 
     fn start() -> crate::server::ServerHandle {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         let service = Arc::new(QueryService::new(program, store, ServiceConfig::default()));
         serve(service, ServerConfig::default()).unwrap()
@@ -786,7 +786,7 @@ mod tests {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
         let service = Arc::new(QueryService::new(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
         ));
         let handle = serve(
@@ -822,7 +822,7 @@ mod tests {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
         let service = Arc::new(QueryService::new(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
         ));
         let handle = serve(

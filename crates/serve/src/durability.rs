@@ -140,7 +140,7 @@ mod tests {
     use crate::service::ServiceConfig;
     use crate::tenant::DurabilitySettings;
     use ontorew_model::prelude::*;
-    use ontorew_storage::{FsyncPolicy, RelationalStore};
+    use ontorew_storage::FsyncPolicy;
     use std::path::PathBuf;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -162,7 +162,7 @@ mod tests {
         let registry = Arc::new(
             TenantRegistry::recover(
                 program,
-                RelationalStore::new(),
+                Instance::new(),
                 ServiceConfig::default(),
                 DurabilitySettings {
                     root: root.clone(),
@@ -203,7 +203,7 @@ mod tests {
         let program = parse_program("[R1] node(X) -> seen(X).").unwrap();
         let again = TenantRegistry::recover(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             DurabilitySettings {
                 root,

@@ -37,12 +37,11 @@
 //!   smoke test.
 //!
 //! ```
-//! use ontorew_model::{parse_program, parse_query};
+//! use ontorew_model::{parse_program, parse_query, Instance};
 //! use ontorew_serve::{QueryService, ServiceConfig};
-//! use ontorew_storage::RelationalStore;
 //!
 //! let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-//! let mut store = RelationalStore::new();
+//! let mut store = Instance::new();
 //! store.insert_fact("student", &["sara"]);
 //! let service = QueryService::new(program, store, ServiceConfig::default());
 //!

@@ -846,12 +846,12 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use ontorew_model::parse_program;
-    use ontorew_storage::RelationalStore;
+    use ontorew_model::Instance;
     use std::io::{BufRead, BufReader};
 
     fn start_test_server() -> ServerHandle {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         let service = Arc::new(QueryService::new(program, store, ServiceConfig::default()));
         serve(
@@ -1182,7 +1182,7 @@ mod tests {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
         let service = Arc::new(QueryService::new(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
         ));
         let handle = serve(
@@ -1330,7 +1330,7 @@ mod tests {
     #[test]
     fn slow_query_threshold_collects_traces_into_the_global_ring() {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         let service = Arc::new(QueryService::new(program, store, ServiceConfig::default()));
         let handle = serve(

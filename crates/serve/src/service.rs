@@ -26,7 +26,7 @@ use ontorew_plan::{
 use ontorew_rewrite::fingerprint::query_identity;
 use ontorew_rewrite::{fingerprint_program, PreparedKey, ProgramFingerprint, RewriteConfig};
 use ontorew_storage::persist::{TenantStorage, TenantStorageState, WalOpKind, WalRecord};
-use ontorew_storage::{AnswerSet, RelationalStore};
+use ontorew_storage::AnswerSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -209,7 +209,7 @@ pub struct QueryService {
 impl QueryService {
     /// Build a stand-alone service for `program` with `initial` data as
     /// epoch 0 and a private plan cache.
-    pub fn new(program: TgdProgram, initial: RelationalStore, config: ServiceConfig) -> Self {
+    pub fn new(program: TgdProgram, initial: Instance, config: ServiceConfig) -> Self {
         let cache = Arc::new(ShardedPlanCache::new(config.cache));
         QueryService::with_shared_cache(program, initial, config, cache, 0)
     }
@@ -219,7 +219,7 @@ impl QueryService {
     /// assigns it) and below 2^32.
     pub fn with_shared_cache(
         program: TgdProgram,
-        initial: RelationalStore,
+        initial: Instance,
         config: ServiceConfig,
         cache: Arc<ShardedPlanCache>,
         tenant_tag: u64,
@@ -239,7 +239,7 @@ impl QueryService {
     #[allow(clippy::too_many_arguments)]
     pub fn durable(
         program: TgdProgram,
-        initial: RelationalStore,
+        initial: Instance,
         epoch: u64,
         config: ServiceConfig,
         cache: Arc<ShardedPlanCache>,
@@ -431,7 +431,7 @@ impl QueryService {
                 |epoch| self.log_epoch(epoch, WalOpKind::Insert, facts),
                 |store| {
                     for fact in facts {
-                        if store.insert_atom(fact) {
+                        if store.insert(fact.clone()) {
                             added += 1;
                         }
                     }
@@ -477,7 +477,7 @@ impl QueryService {
                 |epoch| self.log_epoch(epoch, WalOpKind::Delete, facts),
                 |store| {
                     for fact in facts {
-                        if store.remove_atom(fact) {
+                        if store.remove(fact) {
                             removed += 1;
                         }
                     }
@@ -644,7 +644,7 @@ mod tests {
 
     fn university_service() -> QueryService {
         let program = ontorew_core::examples::university_ontology();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("professor", &["alice"]);
         store.insert_fact("teaches", &["alice", "db101"]);
         store.insert_fact("attends", &["sara", "db101"]);
@@ -752,7 +752,7 @@ mod tests {
              [R3] employee(X) -> person(X).",
         )
         .unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("professor", &["kim"]);
         let service = QueryService::new(program, store, ServiceConfig::default());
         let q = parse_query("q(X) :- person(X)").unwrap();
@@ -769,7 +769,7 @@ mod tests {
         // one epoch share the materialization, and a new epoch invalidates
         // it through the version token.
         let program = ontorew_core::examples::example2();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let service = QueryService::new(program, store, ServiceConfig::default());
@@ -801,11 +801,7 @@ mod tests {
         // insert→query cycle rides the incremental path, and the answers
         // always match a scratch evaluation of the same snapshot.
         let program = ontorew_core::examples::example2();
-        let service = QueryService::new(
-            program.clone(),
-            RelationalStore::new(),
-            ServiceConfig::default(),
-        );
+        let service = QueryService::new(program.clone(), Instance::new(), ServiceConfig::default());
         let q = ontorew_core::examples::example2_query();
         assert!(!service.query(&q).unwrap().answers.as_boolean());
         service
@@ -832,7 +828,7 @@ mod tests {
     #[test]
     fn deletes_are_visible_and_ride_the_dred_path() {
         let program = ontorew_core::examples::example2();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let service = QueryService::new(program.clone(), store, ServiceConfig::default());
@@ -964,7 +960,7 @@ mod tests {
     #[test]
     fn stats_report_retractions_and_the_provenance_footprint() {
         let program = ontorew_core::examples::example2();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("s", &["c", "c", "a"]);
         store.insert_fact("t", &["d", "a"]);
         let service = QueryService::new(program, store, ServiceConfig::default());

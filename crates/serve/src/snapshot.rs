@@ -1,7 +1,9 @@
 //! Snapshot-isolated stores: immutable epochs, atomically swapped.
 //!
-//! Query evaluation only needs shared access to a [`RelationalStore`], but
-//! fact ingestion mutates it. Rather than a reader-writer lock over one
+//! A tenant's data is one [`Instance`] — the same value query evaluation
+//! reads, the chase starts from (a restricted or full chase clones it in
+//! O(#segments) and writes only its own tails) and a checkpoint spills.
+//! Evaluation only needs shared access to it, but fact ingestion mutates it. Rather than a reader-writer lock over one
 //! store — where every insert stalls all query traffic — the [`EpochStore`]
 //! keeps the *published* store immutable behind an `Arc`: readers grab the
 //! current [`Snapshot`] (an `Arc` clone, held for as long as they like) and
@@ -19,7 +21,6 @@
 //! the amortised size-tiered segment merges), not with the store.
 
 use ontorew_model::prelude::*;
-use ontorew_storage::RelationalStore;
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    store: RelationalStore,
+    store: Instance,
 }
 
 impl Snapshot {
@@ -37,8 +38,8 @@ impl Snapshot {
         self.epoch
     }
 
-    /// The relational store of this epoch.
-    pub fn store(&self) -> &RelationalStore {
+    /// The facts of this epoch.
+    pub fn store(&self) -> &Instance {
         &self.store
     }
 
@@ -63,19 +64,19 @@ pub struct EpochStore {
     /// frozen between commits, so the publish clone only shares `Arc`
     /// segments — commit cost is the batch mutation plus the freeze of that
     /// batch, never a copy of the whole store.
-    writer: Mutex<RelationalStore>,
+    writer: Mutex<Instance>,
 }
 
 impl EpochStore {
     /// Publish `initial` as epoch 0.
-    pub fn new(initial: RelationalStore) -> Self {
+    pub fn new(initial: Instance) -> Self {
         EpochStore::with_epoch(initial, 0)
     }
 
     /// Publish `initial` at a given starting epoch — the recovery path,
     /// where the store reconstructed from checkpoint + WAL replay resumes
     /// at the epoch it had reached before the crash.
-    pub fn with_epoch(mut initial: RelationalStore, epoch: u64) -> Self {
+    pub fn with_epoch(mut initial: Instance, epoch: u64) -> Self {
         initial.freeze();
         EpochStore {
             current: RwLock::new(Arc::new(Snapshot {
@@ -108,7 +109,7 @@ impl EpochStore {
     /// O(batch), not O(store).
     pub fn commit<F>(&self, mutate: F) -> u64
     where
-        F: FnOnce(&mut RelationalStore),
+        F: FnOnce(&mut Instance),
     {
         self.commit_logged(|_| Ok(()), mutate)
             .expect("no-op logger cannot fail")
@@ -124,7 +125,7 @@ impl EpochStore {
     pub fn commit_logged<L, F>(&self, log: L, mutate: F) -> std::io::Result<u64>
     where
         L: FnOnce(u64) -> std::io::Result<()>,
-        F: FnOnce(&mut RelationalStore),
+        F: FnOnce(&mut Instance),
     {
         let mut working = self.writer.lock();
         let epoch = self.current.read().epoch + 1;
@@ -146,7 +147,7 @@ impl EpochStore {
         let mut total = 0usize;
         let epoch = self.commit(|store| {
             for fact in facts {
-                if store.insert_atom(fact) {
+                if store.insert(fact.clone()) {
                     added += 1;
                 }
             }
@@ -193,7 +194,7 @@ mod tests {
 
     #[test]
     fn initial_snapshot_is_epoch_zero() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("r", &["a"]);
         let store = EpochStore::new(db);
         let snap = store.snapshot();
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn commits_advance_the_epoch_atomically() {
-        let store = EpochStore::new(RelationalStore::new());
+        let store = EpochStore::new(Instance::new());
         let before = store.snapshot();
         let receipt = store.commit_facts(&[
             Atom::fact("pair", &["1", "a"]),
@@ -221,7 +222,7 @@ mod tests {
 
     #[test]
     fn duplicate_facts_count_as_not_added_but_still_advance_the_epoch() {
-        let store = EpochStore::new(RelationalStore::new());
+        let store = EpochStore::new(Instance::new());
         store.commit_facts(&[Atom::fact("r", &["a"])]);
         let receipt = store.commit_facts(&[Atom::fact("r", &["a"])]);
         assert_eq!(receipt.epoch, 2);
@@ -232,7 +233,7 @@ mod tests {
 
     #[test]
     fn published_snapshots_share_segments_with_the_working_store() {
-        let mut initial = RelationalStore::new();
+        let mut initial = Instance::new();
         for i in 0..100 {
             initial.insert_fact("base", &[&format!("b{i}")]);
         }
@@ -248,14 +249,14 @@ mod tests {
         assert_eq!(before.len(), 100);
         assert_eq!(after.len(), 101);
         assert!(
-            after.scan().take(100).eq(before.scan()),
+            after.rows().take(100).eq(before.rows()),
             "shared prefix preserved in order"
         );
     }
 
     #[test]
     fn held_snapshots_survive_later_commits() {
-        let store = EpochStore::new(RelationalStore::new());
+        let store = EpochStore::new(Instance::new());
         store.commit_facts(&[Atom::fact("r", &["a"])]);
         let held = store.snapshot();
         for i in 0..10 {
@@ -268,7 +269,7 @@ mod tests {
 
     #[test]
     fn with_epoch_resumes_numbering_after_recovery() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("r", &["a"]);
         let store = EpochStore::with_epoch(db, 41);
         assert_eq!(store.epoch(), 41);
@@ -278,7 +279,7 @@ mod tests {
 
     #[test]
     fn failed_log_hook_aborts_the_commit_without_a_trace() {
-        let store = EpochStore::new(RelationalStore::new());
+        let store = EpochStore::new(Instance::new());
         store.commit_facts(&[Atom::fact("r", &["a"])]);
         let err = store.commit_logged(
             |epoch| {
@@ -301,7 +302,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_whole_epochs_only() {
-        let store = Arc::new(EpochStore::new(RelationalStore::new()));
+        let store = Arc::new(EpochStore::new(Instance::new()));
         let writer = {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {

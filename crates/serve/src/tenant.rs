@@ -21,7 +21,7 @@ use crate::service::{QueryService, ServiceConfig, ServiceError};
 use ontorew_model::prelude::*;
 use ontorew_rewrite::ProgramFingerprint;
 use ontorew_storage::persist::TenantStorage;
-use ontorew_storage::{FsyncPolicy, RelationalStore};
+use ontorew_storage::FsyncPolicy;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::io;
@@ -74,7 +74,7 @@ pub struct TenantRegistry {
 
 impl TenantRegistry {
     /// A registry whose `default` tenant serves `program` over `initial`.
-    pub fn new(program: TgdProgram, initial: RelationalStore, config: ServiceConfig) -> Self {
+    pub fn new(program: TgdProgram, initial: Instance, config: ServiceConfig) -> Self {
         let cache = Arc::new(ShardedPlanCache::new(config.cache));
         let default = Arc::new(QueryService::with_shared_cache(
             program,
@@ -125,7 +125,7 @@ impl TenantRegistry {
     /// history).
     pub fn recover(
         program: TgdProgram,
-        initial: RelationalStore,
+        initial: Instance,
         config: ServiceConfig,
         settings: DurabilitySettings,
     ) -> io::Result<Self> {
@@ -279,11 +279,9 @@ impl TenantRegistry {
                 })?;
                 // Checkpoint the (empty) birth state so the manifest exists
                 // from the first moment.
-                storage
-                    .checkpoint(&RelationalStore::new(), 0)
-                    .map_err(|e| {
-                        ServiceError::Unavailable(format!("cannot persist tenant {name:?}: {e}"))
-                    })?;
+                storage.checkpoint(&Instance::new(), 0).map_err(|e| {
+                    ServiceError::Unavailable(format!("cannot persist tenant {name:?}: {e}"))
+                })?;
                 Some(Arc::new(storage))
             }
             None => None,
@@ -291,7 +289,7 @@ impl TenantRegistry {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let service = Arc::new(QueryService::durable(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             0,
             self.config,
             Arc::clone(&self.cache),
@@ -377,7 +375,7 @@ mod tests {
 
     fn registry() -> TenantRegistry {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("student", &["sara"]);
         TenantRegistry::new(program, store, ServiceConfig::default())
     }
@@ -423,11 +421,8 @@ mod tests {
         // version token; equal store sizes defeat the size guard, so this
         // test pins the tag logic).
         let program = ontorew_core::examples::example2();
-        let registry = TenantRegistry::new(
-            program.clone(),
-            RelationalStore::new(),
-            ServiceConfig::default(),
-        );
+        let registry =
+            TenantRegistry::new(program.clone(), Instance::new(), ServiceConfig::default());
         let a = registry.create("a", program.clone()).unwrap();
         let b = registry.create("b", program).unwrap();
         // Same fact count in both tenants, different content.
@@ -456,7 +451,7 @@ mod tests {
         let custom = ontorew_rewrite::RewriteConfig::default().with_max_queries(7);
         let service = Arc::new(QueryService::new(
             parse_program("[R1] student(X) -> person(X).").unwrap(),
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig {
                 rewrite: Some(custom),
                 ..ServiceConfig::default()
@@ -529,7 +524,7 @@ mod tests {
     fn durable_registry_recovers_tenants_and_skips_tombstones() {
         let root = temp_root("recover");
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
-        let mut seed = RelationalStore::new();
+        let mut seed = Instance::new();
         seed.insert_fact("student", &["sara"]);
         {
             let registry = TenantRegistry::recover(
@@ -560,7 +555,7 @@ mod tests {
         // Restart with a *different* seed: the persisted default must win.
         let registry = TenantRegistry::recover(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             settings(&root),
         )
@@ -586,7 +581,7 @@ mod tests {
         let program = parse_program("[R1] student(X) -> person(X).").unwrap();
         let registry = TenantRegistry::recover(
             program,
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             settings(&root),
         )

@@ -12,8 +12,8 @@
 
 use ontorew_model::parse_query;
 use ontorew_model::prelude::*;
+use ontorew_model::Instance;
 use ontorew_serve::{serve, QueryService, ServeClient, ServerConfig, ServiceConfig};
-use ontorew_storage::RelationalStore;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn service_queries_never_observe_torn_epochs() {
     // snapshot machinery, not the rewriting engine.
     let service = Arc::new(QueryService::new(
         TgdProgram::new(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
     ));
     let query = parse_query("q(X, Y) :- marker(X, Y)").unwrap();
@@ -131,7 +131,7 @@ fn retraction_epochs_are_never_half_applied() {
     // would break the pairing or the parity.
     let service = Arc::new(QueryService::new(
         TgdProgram::new(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
     ));
     let query = parse_query("q(X, Y) :- marker(X, Y)").unwrap();
@@ -212,7 +212,7 @@ fn retraction_epochs_are_never_half_applied() {
                     let count = snap
                         .store()
                         .relation(Predicate::new("marker", 2))
-                        .map_or(0, |rel| rel.scan().count());
+                        .map_or(0, |rel| rel.rows().count());
                     let expected = if snap.epoch() % 2 == 1 { 2 } else { 0 };
                     assert_eq!(
                         count,
@@ -249,7 +249,7 @@ fn segmented_store_hammer_under_single_fact_commits() {
     // probe, or a panic.
     use ontorew_serve::EpochStore;
 
-    let mut initial = RelationalStore::new();
+    let mut initial = Instance::new();
     for i in 0..64 {
         initial.insert_fact("base", &[&format!("b{i}"), "seed"]);
     }
@@ -284,14 +284,14 @@ fn segmented_store_hammer_under_single_fact_commits() {
                     let rel = snap.store().relation(p).expect("base relation");
                     // Scan count must match the epoch exactly.
                     assert_eq!(
-                        rel.scan().count() as u64,
+                        rel.rows().count() as u64,
                         64 + snap.epoch(),
                         "reader {r}: scan disagrees with epoch {}",
                         snap.epoch()
                     );
                     // Index probes against frozen and freshly merged
                     // segments: the seed rows are always there.
-                    assert_eq!(rel.lookup_count(1, Term::constant("seed")), 64);
+                    assert_eq!(rel.postings_len(1, &Term::constant("seed")), 64);
                     let probe = [Term::variable("K"), Term::constant("seed")];
                     assert_eq!(rel.candidates(&probe).count(), 64);
                     // Hold every 32nd snapshot to keep old segment stacks
@@ -304,7 +304,7 @@ fn segmented_store_hammer_under_single_fact_commits() {
                 // Held snapshots still answer exactly as of their epoch.
                 for snap in &held {
                     let rel = snap.store().relation(p).expect("base relation");
-                    assert_eq!(rel.scan().count() as u64, 64 + snap.epoch());
+                    assert_eq!(rel.rows().count() as u64, 64 + snap.epoch());
                 }
                 observed
             })
@@ -334,7 +334,7 @@ fn segmented_store_hammer_under_single_fact_commits() {
 fn tcp_queries_never_observe_torn_epochs() {
     let service = Arc::new(QueryService::new(
         TgdProgram::new(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
     ));
     let handle = serve(

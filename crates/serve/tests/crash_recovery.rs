@@ -16,7 +16,7 @@ use ontorew_model::prelude::*;
 use ontorew_plan::MaterializationMode;
 use ontorew_serve::{DurabilitySettings, QueryService, ServiceConfig, TenantRegistry};
 use ontorew_storage::persist::{failpoint, FailAction};
-use ontorew_storage::{FsyncPolicy, RelationalStore};
+use ontorew_storage::FsyncPolicy;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,13 +92,13 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
     let root = temp_root(tag);
     let registry = TenantRegistry::recover(
         program(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
         settings(&root),
     )
     .unwrap();
     let service = registry.default_tenant();
-    let oracle = QueryService::new(program(), RelationalStore::new(), ServiceConfig::default());
+    let oracle = QueryService::new(program(), Instance::new(), ServiceConfig::default());
     let mut in_flight: Option<Op> = None;
 
     for (i, op) in ops.iter().enumerate() {
@@ -155,14 +155,14 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
     // "Restart the process": recover everything from the data directory.
     let recovered = TenantRegistry::recover(
         program(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
         settings(&root),
     )
     .unwrap();
     let service = recovered.default_tenant();
-    let got = service.snapshot().store().to_instance();
-    let acked = oracle.snapshot().store().to_instance();
+    let got = service.snapshot().store().clone();
+    let acked = oracle.snapshot().store().clone();
     if got != acked {
         // The only legitimate divergence: the crash hit after the WAL
         // record was complete but before the acknowledgement, so recovery
@@ -177,7 +177,7 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
         };
         assert_eq!(
             got,
-            oracle.snapshot().store().to_instance(),
+            oracle.snapshot().store().clone(),
             "recovered store is neither the acknowledged oracle nor oracle+in-flight"
         );
     }
@@ -220,7 +220,7 @@ fn io_error_on_one_commit_keeps_later_acked_commits_recoverable() {
     {
         let registry = TenantRegistry::recover(
             program(),
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             settings(&root),
         )
@@ -243,13 +243,13 @@ fn io_error_on_one_commit_keeps_later_acked_commits_recoverable() {
 
     let recovered = TenantRegistry::recover(
         program(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
         settings(&root),
     )
     .unwrap();
     let service = recovered.default_tenant();
-    let store = service.snapshot().store().to_instance();
+    let store = service.snapshot().store().clone();
     for fact in [
         Atom::fact("edge", &["a", "b"]),
         Atom::fact("edge", &["c", "d"]),
@@ -295,7 +295,7 @@ fn wal_and_recovery_counters_advance_across_a_restart() {
     {
         let tenants = TenantRegistry::recover(
             program(),
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             durable.clone(),
         )
@@ -316,7 +316,7 @@ fn wal_and_recovery_counters_advance_across_a_restart() {
     // "Restart": recovery replays both acknowledged records.
     let tenants = TenantRegistry::recover(
         program(),
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
         durable,
     )
@@ -342,7 +342,7 @@ fn materializations_are_rebuilt_from_scratch_after_recovery() {
     {
         let registry = TenantRegistry::recover(
             program.clone(),
-            RelationalStore::new(),
+            Instance::new(),
             ServiceConfig::default(),
             settings(&root),
         )
@@ -378,7 +378,7 @@ fn materializations_are_rebuilt_from_scratch_after_recovery() {
     // the first query chases from scratch (and still answers identically).
     let registry = TenantRegistry::recover(
         program,
-        RelationalStore::new(),
+        Instance::new(),
         ServiceConfig::default(),
         settings(&root),
     )

@@ -238,7 +238,6 @@ fn generic_join_cost(statistics: &StoreStatistics, atoms: &[Atom]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::RelationalStore;
 
     fn v(n: &str) -> Term {
         Term::variable(n)
@@ -247,8 +246,8 @@ mod tests {
     /// A follower graph where a few hubs concentrate the in-degree: the
     /// shape where atom-at-a-time joins enumerate a quadratic number of
     /// two-paths while the generic join stays near-linear.
-    fn hub_store(users: usize, hubs: usize) -> RelationalStore {
-        let mut db = RelationalStore::new();
+    fn hub_store(users: usize, hubs: usize) -> Instance {
+        let mut db = Instance::new();
         for u in 0..users {
             for h in 0..hubs {
                 db.insert_fact("follows", &[&format!("u{u}"), &format!("h{h}")]);
@@ -304,7 +303,7 @@ mod tests {
 
     #[test]
     fn tiny_cyclic_inputs_stay_on_backtracking() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("follows", &["a", "b"]);
         db.insert_fact("follows", &["b", "c"]);
         db.insert_fact("follows", &["c", "a"]);
@@ -316,7 +315,7 @@ mod tests {
 
     #[test]
     fn missing_relations_estimate_zero_rows() {
-        let stats = StoreStatistics::collect(&RelationalStore::new());
+        let stats = StoreStatistics::collect(&Instance::new());
         let cost = estimate_join_cost(&stats, &triangle());
         assert_eq!(cost.estimated_rows, 0.0);
         assert!(cost.backtracking >= 1.0);

@@ -1,4 +1,4 @@
-//! Conjunctive-query evaluation over the relational store.
+//! Conjunctive-query evaluation over a stored [`Instance`].
 //!
 //! Evaluation is an index-nested-loop join: atoms are ordered greedily so
 //! that each atom shares as many variables as possible with the atoms already
@@ -8,7 +8,6 @@
 //! needs shared access to the store.
 
 use crate::cost::estimate_join_cost;
-use crate::database::RelationalStore;
 use crate::stats::StoreStatistics;
 use ontorew_model::prelude::*;
 use ontorew_unify::{choose_join_strategy, generic_join_all, JoinStrategy};
@@ -145,14 +144,14 @@ impl AnswerSet {
 
 /// Evaluate a conjunctive query over the store with the default
 /// configuration.
-pub fn evaluate_cq(store: &RelationalStore, query: &ConjunctiveQuery) -> AnswerSet {
+pub fn evaluate_cq(store: &Instance, query: &ConjunctiveQuery) -> AnswerSet {
     evaluate_cq_instrumented(store, query, &EvalConfig::default()).0
 }
 
 /// Evaluate a conjunctive query with an explicit [`EvalConfig`], returning
 /// the answers together with the evaluation counters.
 pub fn evaluate_cq_instrumented(
-    store: &RelationalStore,
+    store: &Instance,
     query: &ConjunctiveQuery,
     config: &EvalConfig<'_>,
 ) -> (AnswerSet, EvalStats) {
@@ -201,10 +200,7 @@ pub fn evaluate_cq_instrumented(
 /// indexes) and project the substitutions onto the answer variables. The
 /// answers are identical to the backtracking path — only the join order and
 /// cost differ.
-fn evaluate_cq_generic_join(
-    store: &RelationalStore,
-    query: &ConjunctiveQuery,
-) -> (AnswerSet, EvalStats) {
+fn evaluate_cq_generic_join(store: &Instance, query: &ConjunctiveQuery) -> (AnswerSet, EvalStats) {
     let mut answers = AnswerSet::empty(query.answer_vars.clone());
     let mut stats = EvalStats {
         atoms: query.body.len(),
@@ -236,7 +232,7 @@ const PARALLEL_UCQ_MIN_DISJUNCTS: usize = 8;
 /// produce) are fanned out across `available_parallelism` scoped threads;
 /// small unions are evaluated inline. Answers are a set union either way, so
 /// the result is identical to the sequential evaluation.
-pub fn evaluate_ucq(store: &RelationalStore, ucq: &UnionOfConjunctiveQueries) -> AnswerSet {
+pub fn evaluate_ucq(store: &Instance, ucq: &UnionOfConjunctiveQueries) -> AnswerSet {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -247,7 +243,7 @@ pub fn evaluate_ucq(store: &RelationalStore, ucq: &UnionOfConjunctiveQueries) ->
 /// sequential path). Exposed for the plan executor and for tests that pin
 /// the configuration.
 pub fn evaluate_ucq_with(
-    store: &RelationalStore,
+    store: &Instance,
     ucq: &UnionOfConjunctiveQueries,
     threads: usize,
 ) -> AnswerSet {
@@ -258,7 +254,7 @@ pub fn evaluate_ucq_with(
 /// — the plan executor's path, which threads the store statistics through so
 /// each disjunct's join strategy is chosen by the cost model.
 pub fn evaluate_ucq_configured(
-    store: &RelationalStore,
+    store: &Instance,
     ucq: &UnionOfConjunctiveQueries,
     threads: usize,
     config: &EvalConfig<'_>,
@@ -309,7 +305,7 @@ pub fn evaluate_ucq_configured(
 }
 
 /// Evaluate a boolean conjunctive query.
-pub fn evaluate_boolean(store: &RelationalStore, query: &ConjunctiveQuery) -> bool {
+pub fn evaluate_boolean(store: &Instance, query: &ConjunctiveQuery) -> bool {
     evaluate_cq(store, query).as_boolean()
 }
 
@@ -318,11 +314,7 @@ pub fn evaluate_boolean(store: &RelationalStore, query: &ConjunctiveQuery) -> bo
 /// matching rows). Without statistics the estimate is the raw relation size;
 /// with statistics it is refined by the distinct counts of the ground
 /// columns.
-fn plan_order(
-    store: &RelationalStore,
-    atoms: &[Atom],
-    statistics: Option<&StoreStatistics>,
-) -> Vec<Atom> {
+fn plan_order(store: &Instance, atoms: &[Atom], statistics: Option<&StoreStatistics>) -> Vec<Atom> {
     let mut remaining: Vec<Atom> = atoms.to_vec();
     let mut bound: BTreeSet<Variable> = BTreeSet::new();
     let mut ordered = Vec::with_capacity(remaining.len());
@@ -353,7 +345,7 @@ fn plan_order(
 }
 
 fn join(
-    store: &RelationalStore,
+    store: &Instance,
     atoms: &[Atom],
     idx: usize,
     bindings: &mut Substitution,
@@ -426,8 +418,8 @@ mod tests {
         Term::variable(n)
     }
 
-    fn university_store() -> RelationalStore {
-        let mut db = RelationalStore::new();
+    fn university_store() -> Instance {
+        let mut db = Instance::new();
         db.insert_fact("teaches", &["alice", "db101"]);
         db.insert_fact("teaches", &["bob", "ai102"]);
         db.insert_fact("teaches", &["alice", "ml103"]);
@@ -513,7 +505,7 @@ mod tests {
 
     #[test]
     fn repeated_variable_in_query_atom() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         db.insert_fact("edge", &["a", "b"]);
         db.insert_fact("edge", &["c", "c"]);
         let q = ConjunctiveQuery::new(
@@ -545,7 +537,7 @@ mod tests {
 
     #[test]
     fn parallel_ucq_evaluation_matches_sequential() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         for i in 0..40 {
             db.insert_fact(
                 &format!("p{i}"),
@@ -578,8 +570,8 @@ mod tests {
 
     #[test]
     fn answers_with_nulls_can_be_filtered() {
-        let mut db = RelationalStore::new();
-        db.insert_atom(&Atom {
+        let mut db = Instance::new();
+        db.insert(Atom {
             predicate: Predicate::new("p", 1),
             terms: vec![Term::Null(Null(1))],
         });
@@ -661,7 +653,7 @@ mod tests {
     fn planner_reduces_fetched_rows_on_selective_queries() {
         // A selective constant on the second atom: without reordering the
         // evaluator starts from the large unselective atom.
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         for i in 0..200 {
             db.insert_fact("attends", &[&format!("s{i}"), &format!("c{}", i % 20)]);
         }
@@ -714,7 +706,7 @@ mod tests {
 
     #[test]
     fn generic_join_strategy_matches_backtracking_on_cyclic_queries() {
-        let mut db = RelationalStore::new();
+        let mut db = Instance::new();
         for i in 0..150u32 {
             db.insert_fact(
                 "follows",
@@ -761,7 +753,6 @@ mod tests {
         // Cross-check the indexed join against the backtracking homomorphism
         // search from ontorew-unify on a small random-ish instance.
         let db = university_store();
-        let inst = db.to_instance();
         let q = ConjunctiveQuery::new(
             vec![Variable::new("T")],
             vec![
@@ -771,7 +762,7 @@ mod tests {
             ],
         );
         let fast = evaluate_cq(&db, &q);
-        let homs = ontorew_unify::all_homomorphisms(&q.body, &inst, &Substitution::new());
+        let homs = ontorew_unify::all_homomorphisms(&q.body, &db, &Substitution::new());
         let mut slow: BTreeSet<Vec<Term>> = BTreeSet::new();
         for h in homs {
             slow.insert(vec![h.apply_term(v("T"))]);

@@ -1,12 +1,12 @@
 //! # ontorew-storage
 //!
-//! The relational substrate of the OBDA stack: an in-memory store of
-//! relations with eager per-column hash indexes (the [`IndexedRelation`]
-//! machinery shared with `ontorew-model`'s `Instance`), an index-nested-loop
-//! join evaluator for conjunctive queries and UCQs, and a SQL renderer for
-//! rewritings.
-//!
-//! [`IndexedRelation`]: ontorew_model::instance::IndexedRelation
+//! The relational substrate of the OBDA stack over `ontorew-model`'s
+//! [`Instance`] — the one fact container, whose relations carry eager
+//! per-column hash indexes in copy-on-write segments: an index-nested-loop
+//! join evaluator for conjunctive queries and UCQs, the statistics and cost
+//! model that pick a join strategy, durable persistence (WAL, segments,
+//! recovery), and a SQL renderer for rewritings. The stored database and
+//! the instance the chase extends are the same value.
 //!
 //! The paper assumes the extensional data lives in a standard relational
 //! DBMS; this crate is the simulation of that DBMS (see DESIGN.md §1 for the
@@ -18,21 +18,33 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cost;
-pub mod database;
 pub mod eval;
 pub mod persist;
-pub mod relation;
 pub mod sql;
 pub mod stats;
 
+// Store-level checks of `Instance` as the extensional database.
+#[cfg(test)]
+#[path = "store_tests/database.rs"]
+mod database;
+#[cfg(test)]
+#[path = "store_tests/relation.rs"]
+mod relation;
+
 pub use cost::{estimate_join_cost, JoinCost};
-pub use database::RelationalStore;
 pub use eval::{
     evaluate_boolean, evaluate_cq, evaluate_cq_instrumented, evaluate_ucq, evaluate_ucq_configured,
     evaluate_ucq_with, AnswerSet, EvalConfig, EvalStats,
 };
 pub use ontorew_unify::JoinStrategy;
 pub use persist::{FsyncPolicy, TenantStorage};
-pub use relation::Relation;
 pub use sql::{cq_to_sql, ucq_to_sql};
 pub use stats::{ColumnStats, RelationStats, StoreStatistics};
+
+use ontorew_model::instance::Instance;
+
+/// The extensional store: an [`Instance`]. Only a name, kept because the
+/// benchmark's pinned API (`benchmark/src/sut.rs`) calls
+/// `RelationalStore::{new, from_instance, freeze, contains_atom, clone}`;
+/// in-tree code names `Instance`.
+pub type RelationalStore = Instance;

@@ -33,7 +33,7 @@ use super::manifest::{Manifest, SegmentEntry};
 use super::segment::{read_segment, write_segment};
 use super::wal::{read_wal, Wal, WalOpKind, WalRecord, WalTail};
 use super::{sync_parent_dir, FsyncPolicy};
-use crate::database::RelationalStore;
+use ontorew_model::prelude::*;
 use ontorew_telemetry::global_registry;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -72,7 +72,7 @@ pub struct RecoveredTenant {
     pub program_text: String,
     /// The recovered store: checkpoint segments + replayed WAL suffix,
     /// frozen.
-    pub store: RelationalStore,
+    pub store: Instance,
     /// The highest recovered epoch (commits resume at `epoch + 1`).
     pub epoch: u64,
     /// WAL records replayed on top of the checkpoint.
@@ -147,13 +147,14 @@ impl TenantStorage {
         File::open(dir.join(PROGRAM_FILE))?.read_to_string(&mut program_text)?;
 
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE))?.unwrap_or_default();
-        let mut store = RelationalStore::new();
+        // Row by row, so duplicate rows and a predicate spread over several
+        // segments merge (and arity and groundness are checked) on insert.
+        let mut store = Instance::new();
         for entry in &manifest.segments {
             let (predicate, rows) =
                 read_segment(&dir.join(SEGMENTS_DIR).join(&entry.file), entry.crc)?;
-            let relation = store.relation_mut(predicate);
             for row in rows {
-                relation.insert(row);
+                store.insert(Atom::from_predicate(predicate, row));
             }
         }
 
@@ -178,13 +179,13 @@ impl TenantStorage {
             match record.kind {
                 WalOpKind::Insert => {
                     for fact in &record.facts {
-                        store.insert_atom(fact);
+                        store.insert(fact.clone());
                     }
                 }
                 WalOpKind::Delete => {
                     replayed_deletes += 1;
                     for fact in &record.facts {
-                        store.remove_atom(fact);
+                        store.remove(fact);
                     }
                 }
             }
@@ -281,11 +282,7 @@ impl TenantStorage {
     /// files, publish the manifest, truncate the WAL through `epoch`, and
     /// retire the previous checkpoint's segments. Commits are only blocked
     /// for the manifest publish + WAL truncation, not the segment writes.
-    pub fn checkpoint(
-        &self,
-        store: &RelationalStore,
-        epoch: u64,
-    ) -> io::Result<TenantStorageState> {
+    pub fn checkpoint(&self, store: &Instance, epoch: u64) -> io::Result<TenantStorageState> {
         let _only_one = self.checkpointing.lock();
         let checkpoint_start = std::time::Instant::now();
         let seg_dir = self.dir.join(SEGMENTS_DIR);
@@ -296,7 +293,7 @@ impl TenantStorage {
             let relation = store.relation(predicate).expect("predicates() is live");
             let file = format!("seg-{epoch}-{i}.seg");
             let (rows, bytes, crc) =
-                write_segment(&seg_dir.join(&file), predicate, relation.scan())?;
+                write_segment(&seg_dir.join(&file), predicate, relation.rows())?;
             segments.push(SegmentEntry {
                 file,
                 rows,
@@ -405,7 +402,6 @@ mod tests {
     use super::super::failpoint;
     use super::super::FailAction;
     use super::*;
-    use ontorew_model::prelude::*;
 
     fn temp_root(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -459,9 +455,9 @@ mod tests {
         assert_eq!(recovered.replayed_deletes, 1);
         assert_eq!(recovered.tail, WalTail::Clean);
         assert_eq!(recovered.store.len(), 2);
-        assert!(recovered.store.contains_atom(&Atom::fact("node", &["b"])));
-        assert!(recovered.store.contains_atom(&Atom::fact("node", &["c"])));
-        assert!(!recovered.store.contains_atom(&Atom::fact("node", &["a"])));
+        assert!(recovered.store.contains(&Atom::fact("node", &["b"])));
+        assert!(recovered.store.contains(&Atom::fact("node", &["c"])));
+        assert!(!recovered.store.contains(&Atom::fact("node", &["a"])));
         assert_eq!(recovered.storage.state().recoveries, 1);
     }
 
@@ -470,7 +466,7 @@ mod tests {
         let _guard = failpoint::test_guard();
         let root = temp_root("checkpoint");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         for (epoch, name) in [(1u64, "a"), (2, "b"), (3, "c")] {
             storage.log_commit(&insert(epoch, &[name])).unwrap();
             store.insert_fact("node", &[name]);
@@ -494,12 +490,52 @@ mod tests {
         assert_eq!(recovered.storage.state().checkpoint_epoch, 3);
     }
 
+    /// Recovery inserts segment rows one by one: segments naming the same
+    /// predicate load into one relation, and a row two of them hold is
+    /// stored once.
+    #[test]
+    fn segments_of_one_predicate_merge_on_recovery() {
+        let _guard = failpoint::test_guard();
+        let root = temp_root("merge");
+        let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
+        let node = Predicate::new("node", 1);
+        let mut segments = Vec::new();
+        for (i, names) in [["a", "b"], ["b", "c"]].into_iter().enumerate() {
+            let file = format!("seg-1-{i}.seg");
+            let rows: Vec<Vec<Term>> = names.iter().map(|n| vec![Term::constant(n)]).collect();
+            let path = storage.dir().join(SEGMENTS_DIR).join(&file);
+            let (rows, bytes, crc) = write_segment(&path, node, rows.iter()).unwrap();
+            segments.push(SegmentEntry {
+                file,
+                rows,
+                bytes,
+                crc,
+            });
+        }
+        let manifest = Manifest {
+            epoch: 1,
+            recoveries: 0,
+            segments,
+        };
+        manifest.write(&storage.dir().join(MANIFEST_FILE)).unwrap();
+        drop(storage);
+
+        let recovered = TenantStorage::open(&root, "t", FsyncPolicy::default())
+            .unwrap()
+            .unwrap();
+        assert_eq!(recovered.store.len(), 3);
+        assert_eq!(recovered.store.predicates().collect::<Vec<_>>(), vec![node]);
+        for name in ["a", "b", "c"] {
+            assert!(recovered.store.contains(&Atom::fact("node", &[name])));
+        }
+    }
+
     #[test]
     fn second_checkpoint_retires_old_segments() {
         let _guard = failpoint::test_guard();
         let root = temp_root("retire");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("node", &["a"]);
         store.freeze();
         storage.log_commit(&insert(1, &["a"])).unwrap();
@@ -569,7 +605,7 @@ mod tests {
             .unwrap();
         assert_eq!(again.epoch, 2);
         assert_eq!(again.tail, WalTail::Clean);
-        assert!(again.store.contains_atom(&Atom::fact("node", &["c"])));
+        assert!(again.store.contains(&Atom::fact("node", &["c"])));
         assert_eq!(again.storage.state().recoveries, 1, "not yet checkpointed");
     }
 
@@ -598,14 +634,12 @@ mod tests {
         assert_eq!(recovered.replayed, 3);
         for name in ["acked1", "acked2", "acked3"] {
             assert!(
-                recovered.store.contains_atom(&Atom::fact("node", &[name])),
+                recovered.store.contains(&Atom::fact("node", &[name])),
                 "acknowledged commit {name} lost"
             );
         }
         assert!(
-            !recovered
-                .store
-                .contains_atom(&Atom::fact("node", &["aborted"])),
+            !recovered.store.contains(&Atom::fact("node", &["aborted"])),
             "aborted batch resurfaced"
         );
     }
@@ -615,7 +649,7 @@ mod tests {
         let _guard = failpoint::test_guard();
         let root = temp_root("crash-manifest");
         let storage = TenantStorage::create(&root, "t", "", FsyncPolicy::default()).unwrap();
-        let mut store = RelationalStore::new();
+        let mut store = Instance::new();
         store.insert_fact("node", &["a"]);
         store.freeze();
         storage.log_commit(&insert(1, &["a"])).unwrap();
@@ -688,6 +722,6 @@ mod tests {
         let recovered = TenantStorage::open(&root, "t", FsyncPolicy::default())
             .unwrap()
             .unwrap();
-        assert!(recovered.store.contains_atom(&atom), "null id preserved");
+        assert!(recovered.store.contains(&atom), "null id preserved");
     }
 }

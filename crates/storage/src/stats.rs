@@ -6,7 +6,6 @@
 //! Collecting them is a single pass over the store; OBDA benchmarks collect
 //! them once per database and reuse them across every rewritten disjunct.
 
-use crate::database::RelationalStore;
 use ontorew_model::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,7 +50,7 @@ pub struct StoreStatistics {
 
 impl StoreStatistics {
     /// Collect statistics with a single scan of every relation.
-    pub fn collect(store: &RelationalStore) -> Self {
+    pub fn collect(store: &Instance) -> Self {
         let mut relations = BTreeMap::new();
         for predicate in store.predicates() {
             let relation = match store.relation(predicate) {
@@ -60,7 +59,7 @@ impl StoreStatistics {
             };
             let mut distinct: Vec<BTreeSet<Term>> = vec![BTreeSet::new(); predicate.arity];
             let mut cardinality = 0usize;
-            for row in relation.scan() {
+            for row in relation.rows() {
                 cardinality += 1;
                 for (i, t) in row.iter().enumerate() {
                     if let Some(set) = distinct.get_mut(i) {
@@ -132,8 +131,8 @@ impl StoreStatistics {
 mod tests {
     use super::*;
 
-    fn store() -> RelationalStore {
-        let mut db = RelationalStore::new();
+    fn store() -> Instance {
+        let mut db = Instance::new();
         db.insert_fact("teaches", &["alice", "db101"]);
         db.insert_fact("teaches", &["alice", "ml103"]);
         db.insert_fact("teaches", &["bob", "ai102"]);
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn empty_store_has_empty_statistics() {
-        let stats = StoreStatistics::collect(&RelationalStore::new());
+        let stats = StoreStatistics::collect(&Instance::new());
         assert!(stats.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 
 use ontorew_model::prelude::*;
 use ontorew_storage::persist::{failpoint, FailAction, TenantStorage, WalOpKind, WalRecord};
-use ontorew_storage::{FsyncPolicy, RelationalStore};
+use ontorew_storage::FsyncPolicy;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,14 +69,14 @@ const CHECKPOINT_POINTS: &[&str] = &[
     "wal.truncate.before_rewrite",
 ];
 
-fn apply(store: &mut RelationalStore, kind: WalOpKind, facts: &[Atom]) {
+fn apply(store: &mut Instance, kind: WalOpKind, facts: &[Atom]) {
     for fact in facts {
         match kind {
             WalOpKind::Insert => {
-                store.insert_atom(fact);
+                store.insert(fact.clone());
             }
             WalOpKind::Delete => {
-                store.remove_atom(fact);
+                store.remove(fact);
             }
         }
     }
@@ -91,8 +91,8 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
 
     let root = temp_root(tag);
     let storage = TenantStorage::create(&root, "prop", "prop program", FsyncPolicy::Off).unwrap();
-    let mut oracle = RelationalStore::new();
-    let mut live = RelationalStore::new();
+    let mut oracle = Instance::new();
+    let mut live = Instance::new();
     let mut epoch = 0u64;
     // Set when a commit-path crash leaves one op neither acknowledged nor
     // impossible: recovery may legitimately land on either side.
@@ -166,19 +166,19 @@ fn run_workload(tag: &str, ops: &[Op], crash_at: Option<usize>, point_idx: usize
     let recovered = TenantStorage::open(&root, "prop", FsyncPolicy::default())
         .unwrap()
         .expect("tenant recoverable");
-    let got = recovered.store.to_instance();
-    let acked = oracle.to_instance();
-    let matches_oracle = got == acked;
+    let got = recovered.store;
+    let acked = oracle.len();
+    let matches_oracle = got == oracle;
     let matches_in_flight = in_flight.is_some_and(|(kind, facts)| {
         apply(&mut oracle, kind, &facts);
-        got == oracle.to_instance()
+        got == oracle
     });
     assert!(
         matches_oracle || matches_in_flight,
         "recovered store is neither the acknowledged oracle nor oracle+in-flight:\n\
          got {} atoms, oracle {} atoms",
-        got.atoms().count(),
-        acked.atoms().count(),
+        got.len(),
+        acked,
     );
     assert_eq!(recovered.program_text, "prop program");
     let _ = std::fs::remove_dir_all(&root);
@@ -194,8 +194,8 @@ fn run_workload_io_error(tag: &str, ops: &[Op], fail_at: usize, point_idx: usize
 
     let root = temp_root(tag);
     let storage = TenantStorage::create(&root, "prop", "prop program", FsyncPolicy::Off).unwrap();
-    let mut oracle = RelationalStore::new();
-    let mut live = RelationalStore::new();
+    let mut oracle = Instance::new();
+    let mut live = Instance::new();
     let mut epoch = 0u64;
 
     for (i, op) in ops.iter().enumerate() {
@@ -244,8 +244,7 @@ fn run_workload_io_error(tag: &str, ops: &[Op], fail_at: usize, point_idx: usize
         .unwrap()
         .expect("tenant recoverable");
     assert_eq!(
-        recovered.store.to_instance(),
-        oracle.to_instance(),
+        recovered.store, oracle,
         "a transient commit failure must be invisible after recovery"
     );
     let _ = std::fs::remove_dir_all(&root);

@@ -71,20 +71,6 @@ impl std::fmt::Display for JoinStrategy {
     }
 }
 
-/// Anything that can serve [`IndexedRelation`]s by predicate — implemented
-/// for [`Instance`] here and for `ontorew_storage::RelationalStore` in the
-/// storage crate, so both evaluation consumers share one join engine.
-pub trait RelationSource {
-    /// The relation stored under `predicate`, if any rows exist.
-    fn relation_of(&self, predicate: Predicate) -> Option<&IndexedRelation>;
-}
-
-impl RelationSource for Instance {
-    fn relation_of(&self, predicate: Predicate) -> Option<&IndexedRelation> {
-        self.relation(predicate)
-    }
-}
-
 struct JoinMetrics {
     evaluations_backtracking: Arc<Counter>,
     evaluations_generic: Arc<Counter>,
@@ -212,9 +198,9 @@ impl AtomState<'_> {
 /// Find every homomorphism from `atoms` into `relations` extending `seed` —
 /// the same substitution set as [`crate::all_homomorphisms`] (order may
 /// differ), computed variable-at-a-time.
-pub fn generic_join_all<S: RelationSource>(
+pub fn generic_join_all(
     atoms: &[Atom],
-    relations: &S,
+    relations: &Instance,
     seed: &Substitution,
 ) -> Vec<Substitution> {
     metrics().evaluations_generic.inc();
@@ -226,7 +212,7 @@ pub fn generic_join_all<S: RelationSource>(
         .map(|atom| AtomState {
             pattern: seed.apply_atom(atom).terms,
             source: relations
-                .relation_of(atom.predicate)
+                .relation(atom.predicate)
                 .map(Source::Rel)
                 .unwrap_or(Source::Absent),
         })
@@ -517,13 +503,13 @@ pub const GENERIC_JOIN_MIN_FACTS: usize = 128;
 /// The default per-body strategy when no measured cost model is in play:
 /// generic join for cyclic bodies over enough data, backtracking otherwise.
 /// The `crates/plan` cost model refines this choice with real statistics.
-pub fn choose_join_strategy<S: RelationSource>(atoms: &[Atom], relations: &S) -> JoinStrategy {
+pub fn choose_join_strategy(atoms: &[Atom], relations: &Instance) -> JoinStrategy {
     if !is_cyclic(atoms) {
         return JoinStrategy::Backtracking;
     }
     let total: usize = atoms
         .iter()
-        .map(|a| relations.relation_of(a.predicate).map_or(0, |r| r.len()))
+        .map(|a| relations.relation_size(a.predicate))
         .sum();
     if total >= GENERIC_JOIN_MIN_FACTS {
         JoinStrategy::GenericJoin

@@ -20,7 +20,7 @@ fn show(title: &str, program: TgdProgram, query: &str, load: &[(&str, &[&str])])
     println!("=== {title} ===");
     print!("{}", prepared.explain());
 
-    let mut store = RelationalStore::new();
+    let mut store = Instance::new();
     for (predicate, constants) in load {
         store.insert_fact(predicate, constants);
     }

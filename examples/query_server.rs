@@ -7,13 +7,13 @@
 //! ```
 
 use ontorew::core::examples::university_ontology;
+use ontorew::model::Instance;
 use ontorew::serve::{serve, QueryService, ServeClient, ServerConfig, ServiceConfig};
-use ontorew::storage::RelationalStore;
 use std::sync::Arc;
 
 fn main() {
     // A service over the university ontology with a handful of facts.
-    let mut store = RelationalStore::new();
+    let mut store = Instance::new();
     store.insert_fact("professor", &["alice"]);
     store.insert_fact("teaches", &["alice", "db101"]);
     store.insert_fact("attends", &["sara", "db101"]);

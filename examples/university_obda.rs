@@ -17,7 +17,7 @@ fn main() {
 
     // 2. A legacy source schema that does NOT match the ontology vocabulary:
     //    people(id, name, role) and enrolment(person, course, grade).
-    let mut source = RelationalStore::new();
+    let mut source = Instance::new();
     source.insert_fact("people", &["p1", "Ada", "professor"]);
     source.insert_fact("people", &["p2", "Grace", "lecturer"]);
     source.insert_fact("people", &["s1", "Tim", "student"]);

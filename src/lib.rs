@@ -57,5 +57,5 @@ pub mod prelude {
     };
     pub use ontorew_rewrite::{answer_by_rewriting, rewrite, RewriteConfig};
     pub use ontorew_serve::{QueryService, ServeClient, ServiceConfig, TenantRegistry};
-    pub use ontorew_storage::{evaluate_cq, evaluate_ucq, RelationalStore};
+    pub use ontorew_storage::{evaluate_cq, evaluate_ucq};
 }

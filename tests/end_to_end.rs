@@ -19,8 +19,7 @@ fn chain_rewriting_has_linear_size_and_agrees_with_chase() {
         let mut data = Instance::new();
         data.insert_fact("p0", &["seed"]);
         data.insert_fact(&format!("p{n}"), &["top"]);
-        let store = RelationalStore::from_instance(&data);
-        let by_rewriting = evaluate_ucq(&store, &rewriting.ucq);
+        let by_rewriting = evaluate_ucq(&data, &rewriting.ucq);
         let by_chase = certain_answers(&program, &data, &query, &ChaseConfig::default());
         assert!(by_chase.complete);
         assert_eq!(by_rewriting.len(), by_chase.answers.len());
@@ -135,8 +134,7 @@ fn rewriting_agrees_with_chase_on_random_swr_programs() {
         let query =
             parse_query(&format!("q() :- {}({})", predicate.name, vars.join(", "))).unwrap();
 
-        let store = RelationalStore::from_instance(&data);
-        let by_rewriting = answer_by_rewriting(&program, &query, &store, &RewriteConfig::default());
+        let by_rewriting = answer_by_rewriting(&program, &query, &data, &RewriteConfig::default());
         let by_chase = certain_answers(&program, &data, &query, &ChaseConfig::default());
         if by_rewriting.is_exact() && by_chase.complete {
             assert_eq!(

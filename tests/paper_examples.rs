@@ -41,8 +41,7 @@ fn example1_full_pipeline() {
     data.insert_fact("q", &["b"]);
     data.insert_fact("t", &["w"]);
     data.insert_fact("r", &["x", "y"]);
-    let store = RelationalStore::from_instance(&data);
-    let by_rewriting = evaluate_ucq(&store, &rewriting.ucq);
+    let by_rewriting = evaluate_ucq(&data, &rewriting.ucq);
     let by_chase = certain_answers(&program, &data, &query, &ChaseConfig::default());
     assert!(by_chase.complete);
     let rewriting_rows: Vec<_> = by_rewriting.iter().cloned().collect();
@@ -113,8 +112,7 @@ fn example3_full_pipeline() {
     data.insert_fact("t", &["n", "n", "m"]);
     data.insert_fact("s", &["p", "p", "q"]);
     data.insert_fact("r", &["p", "q"]);
-    let store = RelationalStore::from_instance(&data);
-    let by_rewriting = evaluate_ucq(&store, &rewriting.ucq);
+    let by_rewriting = evaluate_ucq(&data, &rewriting.ucq);
     let by_chase = certain_answers(&program, &data, &query, &ChaseConfig::restricted(16));
     let rewriting_rows: Vec<_> = by_rewriting.iter().cloned().collect();
     let chase_rows: Vec<_> = by_chase.answers.iter().cloned().collect();

@@ -4,7 +4,6 @@
 use ontorew::chase::{certain_answers, chase, ChaseConfig};
 use ontorew::model::prelude::*;
 use ontorew::rewrite::{answer_by_rewriting, RewriteConfig};
-use ontorew::storage::RelationalStore;
 use ontorew::unify;
 use proptest::prelude::*;
 
@@ -170,8 +169,7 @@ proptest! {
         let query = parse_query(&format!("q(X) :- p{n}(X)")).unwrap();
         let mut data = Instance::new();
         data.insert_fact(&format!("p{level}"), &["v"]);
-        let store = RelationalStore::from_instance(&data);
-        let rewriting = answer_by_rewriting(&program, &query, &store, &RewriteConfig::default());
+        let rewriting = answer_by_rewriting(&program, &query, &data, &RewriteConfig::default());
         let chase_answers = certain_answers(&program, &data, &query, &ChaseConfig::default());
         prop_assert!(rewriting.is_exact());
         prop_assert!(chase_answers.complete);

@@ -7,7 +7,7 @@ use ontorew::obda::{
     check_constraints, cross_check, ConstraintSet, Egd, NegativeConstraint, ObdaSystem, Strategy,
 };
 use ontorew::rewrite::{rewrite, RewriteConfig};
-use ontorew::storage::{evaluate_cq_instrumented, EvalConfig, RelationalStore, StoreStatistics};
+use ontorew::storage::{evaluate_cq_instrumented, EvalConfig, StoreStatistics};
 use ontorew::workloads::{
     lubm_style_abox, lubm_style_ontology, lubm_style_queries, sensor_network_abox,
     sensor_network_ontology, sensor_network_queries, supply_chain_abox, supply_chain_ontology,
@@ -137,7 +137,7 @@ fn extended_dl_ontologies_classify_and_answer_end_to_end() {
 #[test]
 fn instrumented_evaluation_matches_default_evaluation_on_suite_queries() {
     let ontology = sensor_network_ontology();
-    let store = RelationalStore::from_instance(&sensor_network_abox(25, 5, 400, 13));
+    let store = sensor_network_abox(25, 5, 400, 13);
     let stats = StoreStatistics::collect(&store);
     for query in sensor_network_queries() {
         let rewriting = rewrite(&ontology, &query, &RewriteConfig::default());
