@@ -218,7 +218,7 @@ impl std::error::Error for Inadmissible {}
 /// The result of a goal-driven rewrite: the restricted program to chase,
 /// the ground magic seeds to add to the instance first, and the counts the
 /// planner reports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MagicProgram {
     /// The transformed program: magic rules + guarded adorned copies +
     /// unguarded relevant rules verbatim. Rules outside the query's

@@ -1751,7 +1751,10 @@ impl PreparedQuery {
     /// made once per statistics object, i.e. once per data version, and
     /// kept in the prepared query's slot; if it is somehow inadmissible (it
     /// never should be when the prepared one was) the prepared program is
-    /// kept instead.
+    /// kept instead. When the data picks the prepared program's own order,
+    /// the slot shares that program rather than holding an equal copy: the
+    /// plan cache keeps one slot per cached query, so a second copy would
+    /// nearly double what a cached goal-driven plan costs in memory.
     fn statistics_adorned(
         &self,
         magic: &Arc<MagicProgram>,
@@ -1765,13 +1768,14 @@ impl PreparedQuery {
                 return Arc::clone(adorned);
             }
         }
-        let adorned = rewrite_goal_driven_with(
+        let adorned = match rewrite_goal_driven_with(
             &self.shared.program,
             &self.query,
             &StatisticsSipSelectivity { statistics },
-        )
-        .map(Arc::new)
-        .unwrap_or_else(|_| Arc::clone(magic));
+        ) {
+            Ok(adorned) if adorned != **magic => Arc::new(adorned),
+            _ => Arc::clone(magic),
+        };
         *self.adorned.lock() = Some((Arc::downgrade(statistics), Arc::clone(&adorned)));
         adorned
     }
@@ -2679,6 +2683,23 @@ mod tests {
             "{}",
             broad_plan.explain()
         );
+    }
+
+    /// When the data picks the prepared program's own SIP order, the
+    /// statistics slot shares that program instead of holding a copy.
+    #[test]
+    fn an_adornment_equal_to_the_prepared_program_is_shared() {
+        let planner = Planner::new(ontorew_workloads::registrar_ontology());
+        let prepared = planner.prepare(&ontorew_workloads::registrar_queries()[0]);
+        let store = ontorew_workloads::registrar_abox(200, 8, 5);
+        let execution = prepared.execute(&store);
+        assert_eq!(execution.provenance.strategy, StrategyTaken::GoalDriven);
+        let QueryPlan::GoalDriven { magic } = prepared.plan() else {
+            panic!("expected a goal-driven plan");
+        };
+        let slot = prepared.adorned.lock();
+        let (_, adorned) = slot.as_ref().expect("the execution adorned the program");
+        assert!(Arc::ptr_eq(adorned, magic));
     }
 
     /// The restricted model of a goal-driven execution is thrown away with

@@ -238,8 +238,10 @@ impl ServeClient {
         }
     }
 
+    /// Send one request line and its newline in a single write, so they
+    /// leave as one segment on the `TCP_NODELAY` stream.
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        writeln!(self.writer, "{line}")?;
+        self.writer.write_all(&[line.as_bytes(), b"\n"].concat())?;
         Ok(())
     }
 
@@ -249,7 +251,8 @@ impl ServeClient {
         if n == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));
         }
-        Ok(line.trim_end().to_string())
+        line.truncate(line.trim_end().len());
+        Ok(line)
     }
 
     fn expect_ok(&mut self, line: String) -> Result<String, ClientError> {

@@ -15,7 +15,7 @@
 //! QUERY <cq>            answer <cq> over the current snapshot
 //!   -> OK ANSWERS count=<n> epoch=<e> plan=<kind> strategy=<s>
 //!      cache=<hit|miss> exact=<bool> us=<t>            (one line)
-//!      ROW <c1> <c2> ...      (count lines; constants are whitespace-free)
+//!      ROW <c1> <c2> ...      (count lines; cells as `write_cell` encodes them)
 //!      END
 //! INSERT <fact>[; <fact>]*   commit one batch of facts as one new epoch
 //!   -> OK INSERTED added=<n> epoch=<e>
@@ -67,6 +67,7 @@
 
 use ontorew_model::prelude::*;
 use ontorew_model::{parse_program, parse_query};
+use std::io::{self, Write};
 
 /// The canonical verb list — the single source the parser's unknown-verb
 /// error and the README protocol reference enumerate. `WHY NOT` is spelled
@@ -256,7 +257,8 @@ fn parse_tenant_request(rest: &str) -> Result<Request, String> {
 }
 
 /// Split `text` at `sep`, but never inside a double-quoted section (with
-/// `\"` escapes). The separators themselves are dropped.
+/// `\"` and `\\` escapes, kept for [`decode_constant`]). The separators
+/// themselves are dropped.
 fn split_outside_quotes(text: &str, sep: char) -> Vec<String> {
     let mut parts = vec![String::new()];
     let mut in_quotes = false;
@@ -284,7 +286,7 @@ fn split_outside_quotes(text: &str, sep: char) -> Vec<String> {
 }
 
 /// Decode one fact argument: a bare token, or a double-quoted string with
-/// `\"` escapes (the same convention as [`encode_cell`]).
+/// `\"` and `\\` escapes (the same convention as [`encode_cell`]).
 fn decode_constant(raw: &str, context: &str) -> Result<String, String> {
     let raw = raw.trim();
     if raw.is_empty() {
@@ -293,11 +295,11 @@ fn decode_constant(raw: &str, context: &str) -> Result<String, String> {
     if let Some(inner) = raw.strip_prefix('"') {
         // An empty quoted constant `""` is legal — it round-trips through
         // `encode_cell` / `format_fact`.
-        let inner = inner
+        inner
             .strip_suffix('"')
             .filter(|_| raw.len() >= 2)
-            .ok_or_else(|| format!("fact {context:?} has an unterminated quoted argument"))?;
-        Ok(inner.replace("\\\"", "\""))
+            .and_then(unescape)
+            .ok_or_else(|| format!("fact {context:?} has an unterminated quoted argument"))
     } else if raw.contains('"') {
         Err(format!("fact {context:?} has a stray quote in an argument"))
     } else {
@@ -337,22 +339,94 @@ pub fn parse_fact(text: &str) -> Result<Atom, String> {
     })
 }
 
-/// Encode one constant for the wire (`ROW` cells and `INSERT` fact
+/// Undo the escapes of a quoted cell's contents: `\"` is a quote, `\\` a
+/// backslash, and a backslash before anything else stands for itself.
+/// `None` when the text ends in a lone backslash, which escaped the closing
+/// quote.
+fn unescape(inner: &str) -> Option<String> {
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next()? {
+            escaped @ ('"' | '\\') => out.push(escaped),
+            other => {
+                out.push('\\');
+                out.push(other);
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Write one constant in its wire form (`ROW` cells and `INSERT` fact
 /// arguments): bare when the value contains none of the protocol's
-/// structural characters, double-quoted (with `\"` escapes) otherwise — so
-/// constants like `"sara jones"` or `"a, b; c"` survive unambiguously.
-pub fn encode_cell(value: &str) -> String {
+/// structural characters, double-quoted otherwise, with `\"` and `\\`
+/// escapes — so constants like `"sara jones"`, `"a, b; c"` or `"C:\\"`
+/// survive unambiguously. This is the protocol's one cell encoder; every
+/// other rendering of a cell goes through it.
+pub fn write_cell(out: &mut impl Write, value: &str) -> io::Result<()> {
     let needs_quoting = value.is_empty()
         || value.contains(|c: char| c.is_whitespace() || matches!(c, '"' | ',' | ';' | '(' | ')'));
-    if needs_quoting {
-        format!("\"{}\"", value.replace('"', "\\\""))
-    } else {
-        value.to_string()
+    if !needs_quoting {
+        return out.write_all(value.as_bytes());
+    }
+    out.write_all(b"\"")?;
+    // `"` and `\` are ASCII, so they never sit inside a multi-byte character.
+    let bytes = value.as_bytes();
+    let mut from = 0;
+    for (at, &byte) in bytes.iter().enumerate() {
+        if matches!(byte, b'"' | b'\\') {
+            out.write_all(&bytes[from..at])?;
+            out.write_all(&[b'\\', byte])?;
+            from = at + 1;
+        }
+    }
+    out.write_all(&bytes[from..])?;
+    out.write_all(b"\"")
+}
+
+/// Write one answer term as a cell: a constant's name as it is, a null or
+/// variable in its display form.
+pub(crate) fn write_term(out: &mut impl Write, term: &Term) -> io::Result<()> {
+    match term {
+        Term::Constant(c) => write_cell(out, c.name()),
+        other => write_cell(out, &format!("{other}")),
     }
 }
 
-/// Split a `ROW` payload into cells, honoring double quotes and `\"`
-/// escapes (the inverse of [`encode_cell`]).
+/// Write a ground fact in the protocol's `INSERT` syntax (see
+/// [`format_fact`]).
+pub(crate) fn write_fact(out: &mut impl Write, atom: &Atom) -> io::Result<()> {
+    out.write_all(atom.predicate.name_str().as_bytes())?;
+    out.write_all(b"(")?;
+    for (i, term) in atom.terms.iter().enumerate() {
+        if i > 0 {
+            out.write_all(b", ")?;
+        }
+        write_term(out, term)?;
+    }
+    out.write_all(b")")
+}
+
+/// Run one of the writers above into a fresh `String` of `capacity`.
+fn render(capacity: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut bytes = Vec::with_capacity(capacity);
+    write(&mut bytes).expect("writing into a Vec cannot fail");
+    String::from_utf8(bytes).expect("the writers emit whole UTF-8 sequences")
+}
+
+/// Encode one constant for the wire as a `String`: [`write_cell`] into a
+/// buffer.
+pub fn encode_cell(value: &str) -> String {
+    render(value.len() + 2, |out| write_cell(out, value))
+}
+
+/// Split a `ROW` payload into cells, honoring double quotes and the `\"`
+/// and `\\` escapes (the inverse of [`encode_cell`]).
 pub fn parse_row(text: &str) -> Vec<String> {
     let mut cells = Vec::new();
     let mut chars = text.chars().peekable();
@@ -367,9 +441,8 @@ pub fn parse_row(text: &str) -> Vec<String> {
                 let mut cell = String::new();
                 while let Some(c) = chars.next() {
                     match c {
-                        '\\' if chars.peek() == Some(&'"') => {
-                            chars.next();
-                            cell.push('"');
+                        '\\' => {
+                            cell.push(chars.next_if(|&c| matches!(c, '"' | '\\')).unwrap_or('\\'))
                         }
                         '"' => break,
                         other => cell.push(other),
@@ -393,20 +466,33 @@ pub fn parse_row(text: &str) -> Vec<String> {
 /// constants that contain structural characters (the inverse of
 /// [`parse_fact`]).
 pub fn format_fact(atom: &Atom) -> String {
-    let args: Vec<String> = atom
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Constant(c) => encode_cell(c.name()),
-            other => encode_cell(&format!("{other}")),
-        })
-        .collect();
-    format!("{}({})", atom.predicate.name_str(), args.join(", "))
+    render(16 * (atom.terms.len() + 1), |out| write_fact(out, atom))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Strings over the characters the codec treats specially (whitespace,
+    /// quotes, backslashes, separators, parentheses), plain ones and
+    /// non-ASCII, empty included.
+    fn wire_string() -> impl Strategy<Value = String> {
+        let alphabet = vec![
+            'a', 'Z', '0', '_', ':', ' ', '\t', '"', '\\', ',', ';', '(', ')', 'é', '日',
+        ];
+        prop::collection::vec(prop::sample::select(alphabet), 0..10)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn every_string_survives_the_cell_and_fact_codecs(value in wire_string()) {
+            prop_assert_eq!(parse_row(&encode_cell(&value)), vec![value.clone()]);
+            let fact = Atom::fact("r", &[&value]);
+            prop_assert_eq!(parse_fact(&format_fact(&fact)), Ok(fact));
+        }
+    }
 
     #[test]
     fn parses_query_and_prepare() {
@@ -500,6 +586,11 @@ mod tests {
         // Escaped quotes survive.
         let fact = parse_fact(r#"says(zoe, "\"hi\"")"#).unwrap();
         assert_eq!(fact.terms[1], Term::constant("\"hi\""));
+        // So do escaped backslashes, one before the closing quote included;
+        // a lone one escapes that quote and leaves the argument open.
+        let fact = parse_fact(r#"path(zoe, "C:\\dir\\")"#).unwrap();
+        assert_eq!(fact.terms[1], Term::constant("C:\\dir\\"));
+        assert!(parse_fact(r#"path(zoe, "C:\")"#).is_err());
         // An unterminated quote is an error, not silent corruption.
         assert!(parse_fact(r#"r("unterminated)"#).is_err());
         assert!(parse_fact(r#"r(stray"quote)"#).is_err());
@@ -513,6 +604,7 @@ mod tests {
             vec!["with \"quotes\"", "and space"],
             vec!["paren(thetical)", "x"],
             vec!["", "empty-first"],
+            vec!["x y\\", "back\\slash"],
         ] {
             let fact = Atom::fact("attends", &constants);
             assert_eq!(
@@ -531,6 +623,7 @@ mod tests {
             vec!["", "x"],
             vec!["with \"quotes\"", "and space"],
             vec!["_:n7"],
+            vec!["a b\\", "\\\""],
         ] {
             let encoded: Vec<String> = cells.iter().map(|c| encode_cell(c)).collect();
             let decoded = parse_row(&encoded.join(" "));

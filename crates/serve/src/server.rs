@@ -12,7 +12,7 @@
 //! shutdown promptly without a dedicated reaper thread.
 
 use crate::pool::ThreadPool;
-use crate::proto::{parse_request, Request};
+use crate::proto::{parse_request, write_fact, write_term, Request};
 use crate::service::QueryService;
 use crate::tenant::{TenantRegistry, DEFAULT_TENANT};
 use ontorew_model::prelude::*;
@@ -20,7 +20,7 @@ use ontorew_telemetry::{
     global_registry, global_ring, install_collector, render_tree, span, take_collector, Series,
     Trace, TraceSink,
 };
-use std::io::{BufRead, ErrorKind, Read, Write};
+use std::io::{BufRead, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -242,6 +242,15 @@ impl Drop for ActiveGuard {
 /// comfortably: the cap allows ~1000 rules of typical size.)
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
+/// Capacity of a connection's reply buffer. Every reply is written into it
+/// and flushed once at its end; a reply larger than this leaves in
+/// buffer-sized writes while it is still being produced.
+const REPLY_BUFFER: usize = 64 * 1024;
+
+/// The write half of a connection. Nothing writes to the `TcpStream`
+/// directly: a reply line costs no system call of its own.
+type ReplyWriter = BufWriter<TcpStream>;
+
 /// Per-connection protocol state: the tenant requests are routed to, and
 /// whether `TRACE ON` armed per-request trace dumps.
 struct Connection {
@@ -258,8 +267,8 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 /// request (a chase round is one span); bounds memory against pathology.
 const MAX_TRACE_SPANS: usize = 4096;
 
-/// Serve one connection until EOF, `QUIT`, `SHUTDOWN`, idle timeout, or
-/// server shutdown.
+/// Serve one connection until EOF, `QUIT`, `SHUTDOWN`, idle timeout, a
+/// failed write, or server shutdown.
 fn handle_connection(
     stream: TcpStream,
     registry: Arc<TenantRegistry>,
@@ -275,9 +284,33 @@ fn handle_connection(
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+        Ok(w) => BufWriter::with_capacity(REPLY_BUFFER, w),
         Err(_) => return,
     };
+    serve_connection(
+        stream,
+        &mut writer,
+        registry,
+        shutdown,
+        idle_timeout,
+        slow_query,
+    );
+    // Whatever is still buffered belongs to a reply whose write failed (a
+    // finished reply has been flushed). Drop it: `BufWriter`'s own `Drop`
+    // would try the write again and hold this worker for a second write
+    // timeout on a peer that is already gone.
+    let _ = writer.into_parts();
+}
+
+/// The request loop of [`handle_connection`].
+fn serve_connection(
+    stream: TcpStream,
+    writer: &mut ReplyWriter,
+    registry: Arc<TenantRegistry>,
+    shutdown: Arc<AtomicBool>,
+    idle_timeout: Duration,
+    slow_query: Option<Duration>,
+) {
     let mut reader = std::io::BufReader::new(stream);
     let mut connection = Connection {
         service: registry.default_tenant(),
@@ -301,7 +334,8 @@ fn handle_connection(
         let result = limited.read_until(b'\n', &mut line);
         reader = limited.into_inner();
         if line.len() > MAX_REQUEST_LINE {
-            let _ = writeln!(writer, "ERR request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = writeln!(writer, "ERR request line exceeds {MAX_REQUEST_LINE} bytes")
+                .and_then(|()| writer.flush());
             connection.service.record_error();
             return;
         }
@@ -315,7 +349,9 @@ fn handle_connection(
                     Ok(request) => request,
                     Err(_) => {
                         connection.service.record_error();
-                        if writeln!(writer, "ERR request is not valid UTF-8").is_err() {
+                        let reply = writeln!(writer, "ERR request is not valid UTF-8")
+                            .and_then(|()| writer.flush());
+                        if reply.is_err() {
                             return;
                         }
                         continue;
@@ -326,7 +362,7 @@ fn handle_connection(
                     &registry,
                     &mut connection,
                     &shutdown,
-                    &mut writer,
+                    writer,
                     slow_query,
                 );
                 match outcome {
@@ -339,7 +375,7 @@ fn handle_connection(
                 // peer that trickles bytes without ever completing a request
                 // is as idle as a silent one.
                 if last_request.elapsed() >= idle_timeout {
-                    let _ = writeln!(writer, "ERR idle timeout");
+                    let _ = writeln!(writer, "ERR idle timeout").and_then(|()| writer.flush());
                     return;
                 }
                 continue;
@@ -352,31 +388,18 @@ fn handle_connection(
 /// Write the `INFO` lines of a `WHY` / `WHY NOT` reply: derivation steps
 /// (target first) for a present fact, blocked candidates for an absent one.
 fn write_explanation_info(
-    writer: &mut TcpStream,
+    writer: &mut ReplyWriter,
     explanation: &crate::service::FactExplanation,
 ) -> std::io::Result<()> {
     for step in &explanation.steps {
+        writer.write_all(b"INFO ")?;
+        write_fact(writer, &step.fact)?;
         match step.rule {
-            None => {
-                writeln!(
-                    writer,
-                    "INFO {} asserted",
-                    crate::proto::format_fact(&step.fact)
-                )?;
-            }
+            None => writer.write_all(b" asserted\n")?,
             Some(rule) => {
-                let premises: Vec<String> = step
-                    .premises
-                    .iter()
-                    .map(crate::proto::format_fact)
-                    .collect();
-                writeln!(
-                    writer,
-                    "INFO {} derived rule={} from {}",
-                    crate::proto::format_fact(&step.fact),
-                    rule,
-                    premises.join("; ")
-                )?;
+                write!(writer, " derived rule={rule} from ")?;
+                write_facts(writer, &step.premises)?;
+                writer.write_all(b"\n")?;
             }
         }
     }
@@ -385,25 +408,23 @@ fn write_explanation_info(
             writeln!(writer, "INFO no rule head can produce this predicate")?;
         }
         for candidate in &why_not.candidates {
-            let body: Vec<String> = candidate
-                .body
-                .iter()
-                .map(crate::proto::format_fact)
-                .collect();
-            let missing: Vec<String> = candidate
-                .missing
-                .iter()
-                .map(crate::proto::format_fact)
-                .collect();
-            writeln!(
-                writer,
-                "INFO rule={} body={} missing={} invents={}",
-                candidate.rule,
-                body.join("; "),
-                missing.join("; "),
-                candidate.needs_invented_value
-            )?;
+            write!(writer, "INFO rule={} body=", candidate.rule)?;
+            write_facts(writer, &candidate.body)?;
+            writer.write_all(b" missing=")?;
+            write_facts(writer, &candidate.missing)?;
+            writeln!(writer, " invents={}", candidate.needs_invented_value)?;
         }
+    }
+    Ok(())
+}
+
+/// Write `facts` in `INSERT` syntax, separated by `"; "`.
+fn write_facts(writer: &mut ReplyWriter, facts: &[Atom]) -> std::io::Result<()> {
+    for (i, fact) in facts.iter().enumerate() {
+        if i > 0 {
+            writer.write_all(b"; ")?;
+        }
+        write_fact(writer, fact)?;
     }
     Ok(())
 }
@@ -413,7 +434,7 @@ fn write_explanation_info(
 /// verbs. (The global registry outlives any one server — tests run several
 /// in one process — so the wire registry decides which tenants to show.)
 fn write_tenant_breakdown(
-    writer: &mut TcpStream,
+    writer: &mut ReplyWriter,
     registry: &TenantRegistry,
 ) -> std::io::Result<()> {
     let metrics = global_registry();
@@ -439,16 +460,17 @@ fn write_tenant_breakdown(
     Ok(())
 }
 
-/// Render one answer row for the wire.
-fn encode_row(row: &[Term]) -> String {
-    let cells: Vec<String> = row
-        .iter()
-        .map(|t| match t {
-            Term::Constant(c) => crate::proto::encode_cell(c.name()),
-            other => crate::proto::encode_cell(&format!("{other}")),
-        })
-        .collect();
-    cells.join(" ")
+/// Write one `ROW` line: its cells straight into the reply buffer,
+/// separated by single spaces.
+fn write_row(writer: &mut ReplyWriter, row: &[Term]) -> std::io::Result<()> {
+    writer.write_all(b"ROW ")?;
+    for (i, term) in row.iter().enumerate() {
+        if i > 0 {
+            writer.write_all(b" ")?;
+        }
+        write_term(writer, term)?;
+    }
+    writer.write_all(b"\n")
 }
 
 /// The canonical verb of a request line, for metric labels. Unknown verbs
@@ -467,12 +489,14 @@ fn verb_label(request: &str) -> &'static str {
 /// collector when this connection is tracing or the slow-query log is
 /// armed), per-tenant × per-verb counters and latency histograms, the
 /// `TRACE` dump block after traced `OK` responses, and the slow-query log.
+/// The reply is flushed inside the request span, so its latency includes
+/// writing it.
 fn serve_request(
     request: &str,
     registry: &TenantRegistry,
     connection: &mut Connection,
     shutdown: &AtomicBool,
-    writer: &mut TcpStream,
+    writer: &mut ReplyWriter,
     slow_query: Option<Duration>,
 ) -> std::io::Result<bool> {
     if request.trim().is_empty() {
@@ -544,6 +568,7 @@ fn serve_request(
                         writeln!(writer, "INFO {line}")?;
                     }
                     writeln!(writer, "END")?;
+                    writer.flush()?;
                 }
             }
         }
@@ -583,17 +608,18 @@ fn log_slow_query(request: &str, trace: &Trace) {
     );
 }
 
-/// Handle one request line; returns `(keep_open, ok)` — `keep_open` is
-/// false when the connection should close, `ok` is false when the reply
-/// was an `ERR` line — or `Err` when the peer is gone.
+/// Handle one request line and flush its reply; returns `(keep_open, ok)`
+/// — `keep_open` is false when the connection should close, `ok` is false
+/// when the reply was an `ERR` line — or `Err` when the peer is gone.
 fn respond(
     request: &str,
     registry: &TenantRegistry,
     connection: &mut Connection,
     shutdown: &AtomicBool,
-    writer: &mut TcpStream,
+    writer: &mut ReplyWriter,
 ) -> std::io::Result<(bool, bool)> {
     let mut ok = true;
+    let mut keep_open = true;
     let service = Arc::clone(&connection.service);
     match parse_request(request) {
         Ok(Request::Prepare(query)) => {
@@ -638,7 +664,7 @@ fn respond(
                     response.micros
                 )?;
                 for row in response.answers.iter() {
-                    writeln!(writer, "ROW {}", encode_row(row))?;
+                    write_row(writer, row)?;
                 }
                 writeln!(writer, "END")?;
             }
@@ -825,12 +851,12 @@ fn respond(
         }
         Ok(Request::Quit) => {
             writeln!(writer, "OK BYE")?;
-            return Ok((false, true));
+            keep_open = false;
         }
         Ok(Request::Shutdown) => {
             writeln!(writer, "OK BYE")?;
             shutdown.store(true, Ordering::SeqCst);
-            return Ok((false, true));
+            keep_open = false;
         }
         Err(message) => {
             ok = false;
@@ -838,7 +864,8 @@ fn respond(
             writeln!(writer, "ERR {message}")?;
         }
     }
-    Ok((true, ok))
+    writer.flush()?;
+    Ok((keep_open, ok))
 }
 
 #[cfg(test)]
