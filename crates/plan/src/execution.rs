@@ -116,7 +116,8 @@ pub struct GoalDrivenSummary {
     pub relevant_rules: usize,
     /// Adorned guarded copies the magic rewrite emitted.
     pub adorned_rules: usize,
-    /// Facts in the restricted chase's instance (seeds + slice).
+    /// Facts the restricted chase added to the seeded store (the goal-
+    /// relevant slice it derived; neither the store nor the demand seeds).
     pub facts_derived: usize,
     /// Estimated facts a full-model materialization would hold — the cached
     /// full materialization's size when one exists for this data version,

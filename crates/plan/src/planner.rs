@@ -15,7 +15,7 @@ use ontorew_magic::{
 };
 use ontorew_model::prelude::*;
 use ontorew_rewrite::{evaluate_rewriting_configured, rewrite, RewriteConfig, Rewriting};
-use ontorew_storage::{estimate_join_cost, evaluate_cq, EvalConfig, StoreStatistics};
+use ontorew_storage::{estimate_join_cost, evaluate_cq, AnswerSet, EvalConfig, StoreStatistics};
 use ontorew_telemetry::{global_registry, span};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -37,6 +37,23 @@ fn record_materialization_mode(mode: &MaterializationMode) {
             &[("mode", label)],
         )
         .inc();
+}
+
+/// The certain answers of `query` over a chased `instance`: its answers with
+/// every row that holds a labelled null dropped, filtered in place.
+fn certain_answers_over(instance: &Instance, query: &ConjunctiveQuery) -> AnswerSet {
+    let mut answers = evaluate_cq(instance, query);
+    answers.retain_certain();
+    answers
+}
+
+/// A restricted (magic-sets) chase run by a goal-driven or best-effort
+/// execution.
+struct MagicChase {
+    result: ontorew_chase::ChaseResult,
+    /// Facts the chase added: its instance's size minus the seeded store's.
+    derived: usize,
+    materialize_us: u64,
 }
 
 /// The labelled nulls of a chased instance, shared between the versions that
@@ -1529,7 +1546,7 @@ impl PreparedQuery {
         let (materialization, cached) = self.shared.materialize(store, version);
         let start = Instant::now();
         let eval_span = span("plan.evaluate");
-        let answers = evaluate_cq(materialization.instance(), &self.query).without_nulls();
+        let answers = certain_answers_over(materialization.instance(), &self.query);
         drop(eval_span);
         Execution {
             answers,
@@ -1707,11 +1724,7 @@ impl PreparedQuery {
     /// own working copy shares them again, and the seeds and derived facts
     /// land in per-relation tails. Only an *unfrozen* store (one built in
     /// place and never published) has its tails copied as well.
-    fn run_magic_chase(
-        &self,
-        magic: &Arc<MagicProgram>,
-        store: &Instance,
-    ) -> (ontorew_chase::ChaseResult, u64) {
+    fn run_magic_chase(&self, magic: &Arc<MagicProgram>, store: &Instance) -> MagicChase {
         let mut chase_span = span("magic.chase");
         let start = Instant::now();
         let mut instance = store.clone();
@@ -1725,7 +1738,11 @@ impl PreparedQuery {
         chase_span.attr("facts", result.instance.len());
         chase_span.attr("rounds", result.rounds);
         chase_span.attr("terminated", result.outcome == ChaseOutcome::Terminated);
-        (result, start.elapsed().as_micros() as u64)
+        MagicChase {
+            derived: result.instance.len().saturating_sub(instance.len()),
+            result,
+            materialize_us: start.elapsed().as_micros() as u64,
+        }
     }
 
     /// The planner's estimate of how many facts a *full* materialization of
@@ -1805,7 +1822,11 @@ impl PreparedQuery {
             );
         }
         let magic = self.statistics_adorned(magic, statistics);
-        let (result, materialize_us) = self.run_magic_chase(&magic, store);
+        let MagicChase {
+            result,
+            derived: facts_derived,
+            materialize_us,
+        } = self.run_magic_chase(&magic, store);
         if result.outcome != ChaseOutcome::Terminated {
             return self.run_materialization(
                 store,
@@ -1817,11 +1838,11 @@ impl PreparedQuery {
                 ),
             );
         }
-        let facts_derived = result.instance.len();
+        let facts = result.instance.len();
         let nulls = result.instance.nulls().len();
         let start = Instant::now();
         let eval_span = span("plan.evaluate");
-        let answers = evaluate_cq(&result.instance, &self.query).without_nulls();
+        let answers = certain_answers_over(&result.instance, &self.query);
         drop(eval_span);
         Execution {
             answers,
@@ -1837,7 +1858,7 @@ impl PreparedQuery {
                 rewriting_disjuncts: None,
                 rewriting_complete: None,
                 chase: Some(ChaseSummary {
-                    facts: facts_derived,
+                    facts,
                     nulls,
                     rounds: result.rounds,
                     complete: true,
@@ -1889,13 +1910,16 @@ impl PreparedQuery {
             // restricted program derives the slice the query can actually
             // see, so the budget goes much further than a full chase would.
             let magic = self.statistics_adorned(magic, statistics);
-            let (result, materialize_us) = self.run_magic_chase(&magic, store);
+            let MagicChase {
+                result,
+                derived: facts_derived,
+                materialize_us,
+            } = self.run_magic_chase(&magic, store);
             let terminated = result.outcome == ChaseOutcome::Terminated;
-            let facts_derived = result.instance.len();
             let nulls = result.instance.nulls().len();
             let start = Instant::now();
-            let more = evaluate_cq(&result.instance, &self.query).without_nulls();
-            execution.answers.union_with(&more);
+            let more = certain_answers_over(&result.instance, &self.query);
+            execution.answers.merge(more);
             let provenance = &mut execution.provenance;
             provenance.strategy = StrategyTaken::Combined;
             // A terminated restricted chase is a universal model of the
@@ -1909,7 +1933,7 @@ impl PreparedQuery {
                 );
             }
             provenance.chase = Some(ChaseSummary {
-                facts: facts_derived,
+                facts: result.instance.len(),
                 nulls,
                 rounds: result.rounds,
                 complete: terminated,
@@ -1929,8 +1953,8 @@ impl PreparedQuery {
         }
         let (materialization, cached) = self.shared.materialize(store, version);
         let start = Instant::now();
-        let more = evaluate_cq(materialization.instance(), &self.query).without_nulls();
-        execution.answers.union_with(&more);
+        let more = certain_answers_over(materialization.instance(), &self.query);
+        execution.answers.merge(more);
         let provenance = &mut execution.provenance;
         provenance.strategy = StrategyTaken::Combined;
         provenance.exact = materialization.complete;
@@ -2685,6 +2709,33 @@ mod tests {
         );
     }
 
+    /// `facts_derived` counts what the restricted chase added — neither the
+    /// store it started from nor the demand seeds — while the chase summary
+    /// keeps counting the whole restricted instance.
+    #[test]
+    fn goal_driven_summary_counts_only_derived_facts() {
+        let planner = Planner::new(ontorew_workloads::registrar_ontology());
+        let query = parse_query("q(P) :- mustComplete(\"student3\", P)").unwrap();
+        let prepared = planner.prepare(&query);
+        let QueryPlan::GoalDriven { magic } = prepared.plan() else {
+            panic!("selective registrar queries are goal-driven");
+        };
+        let seeds = magic.seeds.len();
+        let store = ontorew_workloads::registrar_abox(16, 4, 5);
+        let execution = prepared.execute(&store);
+        assert_eq!(execution.provenance.strategy, StrategyTaken::GoalDriven);
+        let chase = execution.provenance.chase.expect("chase summary");
+        let summary = execution
+            .provenance
+            .goal_driven
+            .expect("goal-driven summary");
+        assert_eq!(chase.facts, store.len() + seeds + summary.facts_derived);
+        assert_eq!(
+            (store.len(), seeds, chase.facts, summary.facts_derived),
+            (33, 1, 44, 10)
+        );
+    }
+
     /// When the data picks the prepared program's own SIP order, the
     /// statistics slot shares that program instead of holding a copy.
     #[test]
@@ -2717,7 +2768,7 @@ mod tests {
         let QueryPlan::GoalDriven { magic } = prepared.plan() else {
             panic!("selective registrar queries are goal-driven");
         };
-        let (restricted, _) = prepared.run_magic_chase(magic, &store);
+        let restricted = prepared.run_magic_chase(magic, &store).result;
         assert!(restricted.is_universal_model());
         assert!(restricted.provenance.is_none());
 
@@ -2748,7 +2799,7 @@ mod tests {
         let QueryPlan::GoalDriven { magic } = prepared.plan() else {
             panic!("selective registrar queries are goal-driven");
         };
-        let (restricted, _) = prepared.run_magic_chase(magic, &store);
+        let restricted = prepared.run_magic_chase(magic, &store).result;
         assert!(restricted.is_universal_model());
         assert!(restricted.instance.len() > store.len());
         for p in store.predicates() {

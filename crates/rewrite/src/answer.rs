@@ -6,12 +6,8 @@
 //! rewriting is complete the answers are exactly the certain answers.
 
 use crate::engine::{rewrite, RewriteConfig, Rewriting};
-use crate::rq::RQuery;
 use ontorew_model::prelude::*;
-use ontorew_storage::{
-    evaluate_cq_instrumented, evaluate_ucq, evaluate_ucq_configured, AnswerSet, EvalConfig,
-};
-use std::collections::BTreeMap;
+use ontorew_storage::{evaluate_into, evaluate_ucq_into, AnswerSet, AnswerSink, EvalConfig};
 
 /// The result of answering a query by rewriting.
 #[derive(Clone, Debug)]
@@ -49,85 +45,31 @@ pub fn evaluate_rewriting(
     original_query: &ConjunctiveQuery,
     store: &Instance,
 ) -> AnswerSet {
-    let mut answers = AnswerSet::empty(original_query.answer_vars.clone());
-    answers.union_with(&evaluate_ucq(store, &rewriting.ucq));
-    for grounded in &rewriting.grounded {
-        evaluate_grounded_disjunct(grounded, store, &EvalConfig::default(), &mut answers);
-    }
-    answers
+    evaluate_rewriting_configured(rewriting, original_query, store, &EvalConfig::default())
 }
 
 /// Like [`evaluate_rewriting`], but with an explicit [`EvalConfig`] applied
 /// to every disjunct — the plan executor threads the store statistics
 /// through here so each disjunct's join strategy and atom order come from
 /// the cost model rather than raw relation sizes.
+///
+/// Every disjunct writes into one [`AnswerSink`]. A grounded disjunct
+/// (one whose answer tuple holds constants) is evaluated with its answer
+/// tuple as the template, so the constants are filled in as its rows are
+/// projected; one whose answer variable is missing from its body yields
+/// nothing (it cannot produce certain answers).
 pub fn evaluate_rewriting_configured(
     rewriting: &Rewriting,
     original_query: &ConjunctiveQuery,
     store: &Instance,
     config: &EvalConfig<'_>,
 ) -> AnswerSet {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut answers = AnswerSet::empty(original_query.answer_vars.clone());
-    answers.union_with(&evaluate_ucq_configured(
-        store,
-        &rewriting.ucq,
-        threads,
-        config,
-    ));
+    let mut sink = AnswerSink::new(original_query.answer_vars.clone());
+    evaluate_ucq_into(store, &rewriting.ucq, config, &mut sink);
     for grounded in &rewriting.grounded {
-        evaluate_grounded_disjunct(grounded, store, config, &mut answers);
+        evaluate_into(store, &grounded.body, &grounded.answer, config, &mut sink);
     }
-    answers
-}
-
-/// Evaluate a disjunct whose answer tuple contains constants: the body is
-/// evaluated as a CQ over its answer *variables* only, and each resulting row
-/// is expanded into the full answer tuple with the constants filled in.
-fn evaluate_grounded_disjunct(
-    disjunct: &RQuery,
-    store: &Instance,
-    config: &EvalConfig<'_>,
-    answers: &mut AnswerSet,
-) {
-    // Collect the distinct variables appearing in answer positions.
-    let mut answer_variables: Vec<Variable> = Vec::new();
-    for t in &disjunct.answer {
-        if let Term::Variable(v) = t {
-            if !answer_variables.contains(v) {
-                answer_variables.push(*v);
-            }
-        }
-    }
-    // Variables must occur in the body for the disjunct to be evaluable; a
-    // disjunct violating this is dropped (it cannot produce certain answers).
-    let body_vars: std::collections::BTreeSet<Variable> =
-        ontorew_model::atom::variables_of(&disjunct.body)
-            .into_iter()
-            .collect();
-    if !answer_variables.iter().all(|v| body_vars.contains(v)) {
-        return;
-    }
-    let cq = ConjunctiveQuery::new(answer_variables.clone(), disjunct.body.clone());
-    let partial = evaluate_cq_instrumented(store, &cq, config).0;
-    for row in partial.iter() {
-        let binding: BTreeMap<Variable, Term> = answer_variables
-            .iter()
-            .copied()
-            .zip(row.iter().copied())
-            .collect();
-        let full: Vec<Term> = disjunct
-            .answer
-            .iter()
-            .map(|t| match t {
-                Term::Variable(v) => binding[v],
-                other => *other,
-            })
-            .collect();
-        answers.insert(full);
-    }
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -1,17 +1,44 @@
 //! Conjunctive-query evaluation over a stored [`Instance`].
 //!
-//! Evaluation is an index-nested-loop join: atoms are ordered greedily so
-//! that each atom shares as many variables as possible with the atoms already
-//! joined (and constants are exploited first), and for each atom the matching
-//! tuples are fetched through the relation's eagerly maintained per-column
-//! hash indexes (the most selective bound column wins), so evaluation only
-//! needs shared access to the store.
+//! Each conjunctive query is compiled once per evaluation and then searched
+//! without allocating per row:
+//!
+//! * **Atom order.** Atoms are ordered greedily so that each shares as many
+//!   variables as possible with the atoms before it (constants first, small
+//!   relations or — with statistics — few estimated matches next).
+//! * **Slot frame.** Every variable gets a dense slot in one frame of terms.
+//!   Because the order is fixed, each slot is bound at exactly one level:
+//!   its first occurrence binds it, every later occurrence checks against
+//!   it. A level therefore only overwrites its own slots, and nothing has
+//!   to be undone when the search backtracks.
+//! * **Probe patterns.** Each level keeps its probe pattern in a buffer:
+//!   constants of the query stay put, and the columns of slots bound above
+//!   are rewritten from the frame on entry. The pattern picks the access
+//!   path — the most selective bound column's hash index, or a scan — so
+//!   evaluation only needs shared access to the store.
+//! * **Existential cut.** Let *k* be the first level after which every
+//!   answer variable is bound. Below it, the search only has to show that a
+//!   match exists: it stops after the first complete match and returns to
+//!   level *k*. Answers are a set, so nothing changes but the work; a
+//!   boolean query stops at its first match.
+//! * **One sink.** Answers are projected into an [`AnswerSink`], a hash set
+//!   probed with a reused row buffer: a duplicate costs a lookup, and only a
+//!   new answer allocates. Every disjunct of a union (and every grounded
+//!   disjunct of a rewriting) writes into the same sink, which is sorted
+//!   once into an [`AnswerSet`] at the end.
+//!
+//! Cyclic bodies over enough data go to the generic join instead
+//! ([`generic_join_visit`]), whose visitor projects into the same sink. A
+//! union is evaluated disjunct after disjunct on the calling thread: the
+//! server already runs one worker per core.
 
 use crate::cost::estimate_join_cost;
 use crate::stats::StoreStatistics;
+use ontorew_model::instance::IndexedRelation;
 use ontorew_model::prelude::*;
-use ontorew_unify::{choose_join_strategy, generic_join_all, JoinStrategy};
-use std::collections::BTreeSet;
+use ontorew_unify::{choose_join_strategy, generic_join_visit, JoinStrategy};
+use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of the CQ evaluator.
 ///
@@ -51,13 +78,15 @@ impl Default for EvalConfig<'_> {
 pub struct EvalStats {
     /// Number of body atoms joined.
     pub atoms: usize,
-    /// Rows fetched from relations (via index or scan).
+    /// Rows fetched from relations (via index or scan); the existential cut
+    /// stops fetching below its level once a match is found.
     pub rows_fetched: usize,
     /// Atom lookups answered through a hash index.
     pub index_probes: usize,
     /// Atom lookups answered by a full scan.
     pub full_scans: usize,
-    /// Number of answer tuples produced (before set deduplication).
+    /// Answer tuples handed to the sink: counted after the existential cut
+    /// and before deduplication.
     pub answers_emitted: usize,
 }
 
@@ -117,11 +146,9 @@ impl AnswerSet {
         self.rows.iter()
     }
 
-    /// Merge another answer set (same columns assumed) into this one.
-    pub fn union_with(&mut self, other: &AnswerSet) {
-        for row in &other.rows {
-            self.rows.insert(row.clone());
-        }
+    /// Move every answer of `other` (same columns assumed) into this one.
+    pub fn merge(&mut self, mut other: AnswerSet) {
+        self.rows.append(&mut other.rows);
     }
 
     /// Keep only answers made entirely of constants (no labelled nulls).
@@ -129,6 +156,12 @@ impl AnswerSet {
     /// Certain-answer semantics requires answers to be tuples of constants;
     /// chase-materialised instances contain nulls which must not leak into
     /// answers.
+    pub fn retain_certain(&mut self) {
+        self.rows.retain(|row| row.iter().all(|t| !t.is_null()));
+    }
+
+    /// A copy holding only the answers made entirely of constants; see
+    /// [`AnswerSet::retain_certain`], which filters in place.
     pub fn without_nulls(&self) -> AnswerSet {
         AnswerSet {
             columns: self.columns.clone(),
@@ -138,6 +171,75 @@ impl AnswerSet {
                 .filter(|row| row.iter().all(|t| !t.is_null()))
                 .cloned()
                 .collect(),
+        }
+    }
+}
+
+/// The answer sink's hasher: one rotate, xor and multiply per word (the Fx
+/// hash). Rows are short lists of interned ids, which it mixes well enough,
+/// at a fraction of SipHash's cost per probe: on the benchmark's
+/// `univ-hot-read` workload (2 shared cores) the median `storage.eval_us`
+/// read 9 µs in six of seven traced runs with it, 10–16 µs with SipHash.
+#[derive(Clone, Copy, Debug, Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// Where evaluation writes its answers: a hash set of rows that every
+/// disjunct of a union shares, turned into an [`AnswerSet`] once at the end.
+#[derive(Debug)]
+pub struct AnswerSink {
+    columns: Vec<Variable>,
+    rows: HashSet<Vec<Term>, BuildHasherDefault<RowHasher>>,
+    /// The row being projected, reused for every emission.
+    buffer: Vec<Term>,
+}
+
+impl AnswerSink {
+    /// An empty sink for answers with the given columns.
+    pub fn new(columns: Vec<Variable>) -> Self {
+        AnswerSink {
+            columns,
+            rows: HashSet::default(),
+            buffer: Vec::new(),
+        }
+    }
+
+    /// Insert the row in `buffer`, copying it only when it is new.
+    fn insert_buffered(&mut self) {
+        debug_assert_eq!(self.buffer.len(), self.columns.len());
+        if !self.rows.contains(self.buffer.as_slice()) {
+            self.rows.insert(self.buffer.clone());
+        }
+    }
+
+    /// The answers, sorted (`BTreeSet`'s bulk build sorts its input once).
+    pub fn finish(self) -> AnswerSet {
+        AnswerSet {
+            columns: self.columns,
+            rows: self.rows.into_iter().collect(),
         }
     }
 }
@@ -155,108 +257,96 @@ pub fn evaluate_cq_instrumented(
     query: &ConjunctiveQuery,
     config: &EvalConfig<'_>,
 ) -> (AnswerSet, EvalStats) {
+    let mut sink = AnswerSink::new(query.answer_vars.clone());
+    let stats = evaluate_into(
+        store,
+        &query.body,
+        &answer_template(query),
+        config,
+        &mut sink,
+    );
+    (sink.finish(), stats)
+}
+
+/// A query's answer variables as the answer template of [`evaluate_into`].
+fn answer_template(query: &ConjunctiveQuery) -> Vec<Term> {
+    query
+        .answer_vars
+        .iter()
+        .map(|v| Term::Variable(*v))
+        .collect()
+}
+
+/// Evaluate `body` and write one row per match into `sink`, shaped by the
+/// answer template `answer`: a variable takes its binding, a constant is
+/// copied as is (the grounded disjuncts of a rewriting carry constants in
+/// their answer). A template variable that the body does not mention is
+/// never bound, so the body yields no answer.
+pub fn evaluate_into(
+    store: &Instance,
+    body: &[Atom],
+    answer: &[Term],
+    config: &EvalConfig<'_>,
+    sink: &mut AnswerSink,
+) -> EvalStats {
+    let mut stats = EvalStats {
+        atoms: body.len(),
+        ..EvalStats::default()
+    };
+    let body_vars = ontorew_model::atom::variables_of(body);
+    let answerable = answer.iter().all(|t| match t {
+        Term::Variable(v) => body_vars.contains(v),
+        _ => true,
+    });
+    if !answerable {
+        return stats;
+    }
     let strategy = config.strategy.unwrap_or_else(|| match config.statistics {
-        Some(stats) => estimate_join_cost(stats, &query.body).strategy(),
-        None => choose_join_strategy(&query.body, store),
+        Some(statistics) => estimate_join_cost(statistics, body).strategy(),
+        None => choose_join_strategy(body, store),
     });
     if strategy == JoinStrategy::GenericJoin {
-        return evaluate_cq_generic_join(store, query);
-    }
-    let mut answers = AnswerSet::empty(query.answer_vars.clone());
-    let order = if config.reorder_atoms {
-        plan_order(store, &query.body, config.statistics)
-    } else {
-        query.body.to_vec()
-    };
-    let mut stats = EvalStats {
-        atoms: order.len(),
-        ..EvalStats::default()
-    };
-    let mut bindings = Substitution::new();
-    join(
-        store,
-        &order,
-        0,
-        &mut bindings,
-        config,
-        &mut stats,
-        &mut |final_bindings, stats| {
-            let row: Vec<Term> = query
-                .answer_vars
-                .iter()
-                .map(|v| final_bindings.apply_term(Term::Variable(*v)))
-                .collect();
-            if row.iter().all(Term::is_ground) {
-                stats.answers_emitted += 1;
-                answers.insert(row);
-            }
-        },
-    );
-    (answers, stats)
-}
-
-/// The worst-case-optimal evaluation path: hand the body to
-/// [`generic_join_all`] (variable-at-a-time over the relation segment
-/// indexes) and project the substitutions onto the answer variables. The
-/// answers are identical to the backtracking path — only the join order and
-/// cost differ.
-fn evaluate_cq_generic_join(store: &Instance, query: &ConjunctiveQuery) -> (AnswerSet, EvalStats) {
-    let mut answers = AnswerSet::empty(query.answer_vars.clone());
-    let mut stats = EvalStats {
-        atoms: query.body.len(),
-        ..EvalStats::default()
-    };
-    for hom in generic_join_all(&query.body, store, &Substitution::new()) {
-        let row: Vec<Term> = query
-            .answer_vars
-            .iter()
-            .map(|v| hom.apply_term(Term::Variable(*v)))
-            .collect();
-        if row.iter().all(Term::is_ground) {
+        generic_join_visit(body, store, &Substitution::new(), &mut |hom| {
+            sink.buffer.clear();
+            sink.buffer
+                .extend(answer.iter().map(|t| hom.apply_term(*t)));
             stats.answers_emitted += 1;
-            answers.insert(row);
-        }
+            sink.insert_buffered();
+        });
+        return stats;
     }
-    (answers, stats)
+    let order = if config.reorder_atoms {
+        plan_order(store, body, config.statistics)
+    } else {
+        body.iter().collect()
+    };
+    let CompiledQuery {
+        mut levels,
+        answer,
+        mut frame,
+    } = CompiledQuery::compile(store, &order, answer);
+    search(
+        &mut levels,
+        &answer,
+        &mut frame,
+        config.use_indexes,
+        &mut stats,
+        sink,
+    );
+    stats
 }
-
-/// Unions smaller than this are always evaluated sequentially: spawning a
-/// scoped thread costs more than joining a handful of indexed disjuncts.
-const PARALLEL_UCQ_MIN_DISJUNCTS: usize = 8;
 
 /// Evaluate a union of conjunctive queries over the store (set union of the
 /// disjuncts' answers).
-///
-/// Disjuncts are independent — each one only reads the shared store — so
-/// large unions (the shape UCQ rewritings of hierarchy-heavy ontologies
-/// produce) are fanned out across `available_parallelism` scoped threads;
-/// small unions are evaluated inline. Answers are a set union either way, so
-/// the result is identical to the sequential evaluation.
 pub fn evaluate_ucq(store: &Instance, ucq: &UnionOfConjunctiveQueries) -> AnswerSet {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    evaluate_ucq_with(store, ucq, threads)
+    evaluate_ucq_configured(store, ucq, &EvalConfig::default())
 }
 
-/// Evaluate a UCQ with an explicit thread budget (`<= 1` forces the
-/// sequential path). Exposed for the plan executor and for tests that pin
-/// the configuration.
-pub fn evaluate_ucq_with(
-    store: &Instance,
-    ucq: &UnionOfConjunctiveQueries,
-    threads: usize,
-) -> AnswerSet {
-    evaluate_ucq_configured(store, ucq, threads, &EvalConfig::default())
-}
-
-/// Evaluate a UCQ with an explicit [`EvalConfig`] applied to every disjunct
-/// — the plan executor's path, which threads the store statistics through so
-/// each disjunct's join strategy is chosen by the cost model.
+/// Evaluate a UCQ with an explicit [`EvalConfig`] applied to every disjunct,
+/// all writing into one [`AnswerSink`].
 pub fn evaluate_ucq_configured(
     store: &Instance,
     ucq: &UnionOfConjunctiveQueries,
-    threads: usize,
     config: &EvalConfig<'_>,
 ) -> AnswerSet {
     let columns = ucq
@@ -264,44 +354,22 @@ pub fn evaluate_ucq_configured(
         .first()
         .map(|q| q.answer_vars.clone())
         .unwrap_or_default();
-    let mut answers = AnswerSet::empty(columns);
-    let threads = threads.max(1);
-    if threads == 1 || ucq.len() < PARALLEL_UCQ_MIN_DISJUNCTS.max(2 * threads) {
-        for q in &ucq.disjuncts {
-            let part = evaluate_cq_instrumented(store, q, config).0;
-            answers.union_with(&part);
-        }
-        return answers;
+    let mut sink = AnswerSink::new(columns);
+    evaluate_ucq_into(store, ucq, config, &mut sink);
+    sink.finish()
+}
+
+/// Evaluate every disjunct of a UCQ into `sink`, one after the other on the
+/// calling thread.
+pub fn evaluate_ucq_into(
+    store: &Instance,
+    ucq: &UnionOfConjunctiveQueries,
+    config: &EvalConfig<'_>,
+    sink: &mut AnswerSink,
+) {
+    for q in &ucq.disjuncts {
+        evaluate_into(store, &q.body, &answer_template(q), config, sink);
     }
-    // Contiguous chunks, one scoped worker per chunk: rewriting disjuncts of
-    // one query have similar shapes (and therefore similar cost), so static
-    // partitioning balances well without a work queue.
-    let chunk_size = ucq.disjuncts.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ucq
-            .disjuncts
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut local: Option<AnswerSet> = None;
-                    for q in chunk {
-                        let part = evaluate_cq_instrumented(store, q, config).0;
-                        match &mut local {
-                            Some(acc) => acc.union_with(&part),
-                            None => local = Some(part),
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Some(part) = handle.join().expect("UCQ evaluation worker panicked") {
-                answers.union_with(&part);
-            }
-        }
-    });
-    answers
 }
 
 /// Evaluate a boolean conjunctive query.
@@ -314,8 +382,12 @@ pub fn evaluate_boolean(store: &Instance, query: &ConjunctiveQuery) -> bool {
 /// matching rows). Without statistics the estimate is the raw relation size;
 /// with statistics it is refined by the distinct counts of the ground
 /// columns.
-fn plan_order(store: &Instance, atoms: &[Atom], statistics: Option<&StoreStatistics>) -> Vec<Atom> {
-    let mut remaining: Vec<Atom> = atoms.to_vec();
+fn plan_order<'q>(
+    store: &Instance,
+    atoms: &'q [Atom],
+    statistics: Option<&StoreStatistics>,
+) -> Vec<&'q Atom> {
+    let mut remaining: Vec<&Atom> = atoms.iter().collect();
     let mut bound: BTreeSet<Variable> = BTreeSet::new();
     let mut ordered = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -344,29 +416,157 @@ fn plan_order(store: &Instance, atoms: &[Atom], statistics: Option<&StoreStatist
     ordered
 }
 
-fn join(
-    store: &Instance,
-    atoms: &[Atom],
-    idx: usize,
-    bindings: &mut Substitution,
-    config: &EvalConfig<'_>,
-    stats: &mut EvalStats,
-    on_answer: &mut dyn FnMut(&Substitution, &mut EvalStats),
-) {
-    if idx == atoms.len() {
-        on_answer(bindings, stats);
-        return;
-    }
-    let atom = bindings.apply_atom(&atoms[idx]);
-    let relation = match store.relation(atom.predicate) {
-        Some(r) => r,
-        None => return, // empty relation: no matches
-    };
+/// What one column of a compiled atom asks of a row.
+#[derive(Clone, Copy, Debug)]
+enum Column {
+    /// The probe pattern holds a ground term here — a constant of the query
+    /// or the value of a slot bound above — and the row must equal it.
+    Fixed,
+    /// The first occurrence of a slot: the row's value binds it.
+    Bind(usize),
+    /// A later occurrence of a slot bound in this same atom: the row must
+    /// repeat the value.
+    Repeat(usize),
+}
 
-    // Choose an access path: the most selective bound-column index, or a
-    // full scan (always a scan when indexes are disabled for ablation).
-    let candidates = if config.use_indexes {
-        relation.candidates(&atom.terms)
+/// One atom of the ordered body, compiled against the slot frame.
+struct Level<'a> {
+    relation: Option<&'a IndexedRelation>,
+    /// The probe pattern: constants of the query, the values of slots bound
+    /// above (rewritten on entry), and variables for the slots bound here.
+    pattern: Vec<Term>,
+    /// `(column, slot)` for each slot bound above, rewritten on entry.
+    inputs: Vec<(usize, usize)>,
+    columns: Vec<Column>,
+    /// True at and below the existential cut: every answer slot is bound
+    /// above, so one complete match is enough.
+    existential: bool,
+}
+
+impl Level<'_> {
+    /// Match `row` against the level, binding its slots into `frame`.
+    fn matches(&self, row: &[Term], frame: &mut [Term]) -> bool {
+        for (col, column) in self.columns.iter().enumerate() {
+            match *column {
+                Column::Fixed => {
+                    if row[col] != self.pattern[col] {
+                        return false;
+                    }
+                }
+                Column::Bind(slot) => frame[slot] = row[col],
+                Column::Repeat(slot) => {
+                    if row[col] != frame[slot] {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// One output column: a constant of the answer template, or a slot.
+#[derive(Clone, Copy, Debug)]
+enum Output {
+    Ground(Term),
+    Slot(usize),
+}
+
+/// A body compiled for the backtracking search: one [`Level`] per atom in
+/// join order, the answer template over slots, and the initial frame (each
+/// slot holding its own variable until bound).
+struct CompiledQuery<'a> {
+    levels: Vec<Level<'a>>,
+    answer: Vec<Output>,
+    frame: Vec<Term>,
+}
+
+impl<'a> CompiledQuery<'a> {
+    /// Compile `order` (the body in join order). Every variable of `answer`
+    /// must occur in the body.
+    fn compile(store: &'a Instance, order: &[&Atom], answer: &[Term]) -> Self {
+        let mut frame: Vec<Term> = Vec::new();
+        let slot_of = |frame: &[Term], v: &Term| frame.iter().position(|t| t == v);
+        let mut levels = Vec::with_capacity(order.len());
+        for atom in order {
+            // The cut: once every answer variable is bound above this level,
+            // one complete match is enough.
+            let existential = answer.iter().all(|t| t.is_ground() || frame.contains(t));
+            let bound_above = frame.len();
+            let mut inputs = Vec::new();
+            let mut columns = Vec::with_capacity(atom.terms.len());
+            for (col, term) in atom.terms.iter().enumerate() {
+                let column = match term {
+                    Term::Variable(_) => match slot_of(&frame, term) {
+                        Some(slot) if slot < bound_above => {
+                            inputs.push((col, slot));
+                            Column::Fixed
+                        }
+                        Some(slot) => Column::Repeat(slot),
+                        None => {
+                            frame.push(*term);
+                            Column::Bind(frame.len() - 1)
+                        }
+                    },
+                    _ => Column::Fixed,
+                };
+                columns.push(column);
+            }
+            levels.push(Level {
+                relation: store.relation(atom.predicate),
+                pattern: atom.terms.clone(),
+                inputs,
+                columns,
+                existential,
+            });
+        }
+        let answer: Vec<Output> = answer
+            .iter()
+            .map(|t| match slot_of(&frame, t) {
+                Some(slot) => Output::Slot(slot),
+                None => Output::Ground(*t),
+            })
+            .collect();
+        CompiledQuery {
+            levels,
+            answer,
+            frame,
+        }
+    }
+}
+
+/// The backtracking search over the compiled levels. Returns true if some
+/// complete match was found below this point, which is what lets an
+/// existential level stop after its first one.
+fn search(
+    levels: &mut [Level<'_>],
+    answer: &[Output],
+    frame: &mut [Term],
+    use_indexes: bool,
+    stats: &mut EvalStats,
+    sink: &mut AnswerSink,
+) -> bool {
+    let Some((level, deeper)) = levels.split_first_mut() else {
+        sink.buffer.clear();
+        sink.buffer.extend(answer.iter().map(|o| match *o {
+            Output::Ground(t) => t,
+            Output::Slot(slot) => frame[slot],
+        }));
+        stats.answers_emitted += 1;
+        sink.insert_buffered();
+        return true;
+    };
+    let Some(relation) = level.relation else {
+        return false; // empty relation: no matches
+    };
+    for &(col, slot) in &level.inputs {
+        level.pattern[col] = frame[slot];
+    }
+    let level = &*level;
+    // The access path: the most selective bound-column index, or a full
+    // scan (always a scan when indexes are disabled for ablation).
+    let candidates = if use_indexes {
+        relation.candidates(&level.pattern)
     } else {
         relation.scan_candidates()
     };
@@ -375,39 +575,17 @@ fn join(
     } else {
         stats.full_scans += 1;
     }
-
+    let mut found = false;
     for row in candidates {
         stats.rows_fetched += 1;
-        if let Some(extension) = match_row(&atom, row) {
-            let saved = bindings.clone();
-            for (v, t) in extension.iter() {
-                bindings.bind(v, t);
-            }
-            join(store, atoms, idx + 1, bindings, config, stats, on_answer);
-            *bindings = saved;
-        }
-    }
-}
-
-/// Match a partially ground atom against a stored row, returning the new
-/// bindings needed, or `None` if it does not match.
-fn match_row(atom: &Atom, row: &[Term]) -> Option<Substitution> {
-    let mut extension = Substitution::new();
-    for (pattern, value) in atom.terms.iter().zip(row.iter()) {
-        match pattern {
-            Term::Variable(v) => match extension.get(*v) {
-                Some(existing) if existing != *value => return None,
-                Some(_) => {}
-                None => extension.bind(*v, *value),
-            },
-            ground => {
-                if ground != value {
-                    return None;
-                }
+        if level.matches(row, frame) && search(deeper, answer, frame, use_indexes, stats, sink) {
+            found = true;
+            if level.existential {
+                break;
             }
         }
     }
-    Some(extension)
+    found
 }
 
 #[cfg(test)]
@@ -535,8 +713,33 @@ mod tests {
         assert!(answers.contains_constants(&["carol"]));
     }
 
+    /// The union of the disjuncts' answers by the naive homomorphism
+    /// search: the reference no part of the evaluator takes part in.
+    fn naive_union(db: &Instance, ucq: &UnionOfConjunctiveQueries) -> BTreeSet<Vec<Term>> {
+        let mut rows = BTreeSet::new();
+        for q in &ucq.disjuncts {
+            for h in ontorew_unify::all_homomorphisms(&q.body, db, &Substitution::new()) {
+                let row: Vec<Term> = q
+                    .answer_vars
+                    .iter()
+                    .map(|v| h.apply_term(Term::Variable(*v)))
+                    .collect();
+                if row.iter().all(Term::is_ground) {
+                    rows.insert(row);
+                }
+            }
+        }
+        rows
+    }
+
+    fn rows_of(answers: &AnswerSet) -> BTreeSet<Vec<Term>> {
+        answers.iter().cloned().collect()
+    }
+
     #[test]
     fn parallel_ucq_evaluation_matches_sequential() {
+        // Every disjunct writes into one sink on the calling thread: the
+        // sink must hold exactly the union.
         let mut db = Instance::new();
         for i in 0..40 {
             db.insert_fact(
@@ -545,8 +748,7 @@ mod tests {
             );
             db.insert_fact("shared", &[&format!("d{}", i % 7)]);
         }
-        // 40 disjuncts (over the parallel threshold), joining each p_i with
-        // the shared relation.
+        // 40 disjuncts, joining each p_i with the shared relation.
         let disjuncts: Vec<ConjunctiveQuery> = (0..40)
             .map(|i| {
                 ConjunctiveQuery::new(
@@ -559,13 +761,123 @@ mod tests {
             })
             .collect();
         let ucq = UnionOfConjunctiveQueries::new(disjuncts);
-        let sequential = evaluate_ucq_with(&db, &ucq, 1);
-        assert_eq!(sequential.len(), 40);
-        for threads in [2, 3, 8, 64] {
-            let parallel = evaluate_ucq_with(&db, &ucq, threads);
-            assert_eq!(parallel, sequential, "threads={threads} changed answers");
+        let answers = evaluate_ucq(&db, &ucq);
+        assert_eq!(answers.len(), 40);
+        assert_eq!(rows_of(&answers), naive_union(&db, &ucq));
+        let mut by_disjunct = BTreeSet::new();
+        for q in &ucq.disjuncts {
+            by_disjunct.extend(rows_of(&evaluate_cq(&db, q)));
         }
-        assert_eq!(evaluate_ucq(&db, &ucq), sequential);
+        assert_eq!(rows_of(&answers), by_disjunct);
+    }
+
+    #[test]
+    fn existential_cut_keeps_answers_and_fetches_fewer_rows() {
+        // Each advisor teaches one course that 200 students attend: without
+        // the cut, every (S, P) pair would enumerate all 200 attendees.
+        let mut db = Instance::new();
+        for s in 0..10 {
+            db.insert_fact("advisedBy", &[&format!("s{s}"), &format!("p{}", s % 2)]);
+        }
+        for p in 0..2 {
+            db.insert_fact("teaches", &[&format!("p{p}"), &format!("c{p}")]);
+        }
+        for a in 0..200 {
+            let student = format!("t{a}");
+            db.insert_fact("attends", &[&student, &format!("c{}", a % 2)]);
+            db.insert_fact("person", &[&student]);
+        }
+        let q = ConjunctiveQuery::new(
+            vec![Variable::new("S")],
+            vec![
+                Atom::new("advisedBy", vec![v("S"), v("P")]),
+                Atom::new("teaches", vec![v("P"), v("C")]),
+                Atom::new("attends", vec![v("S2"), v("C")]),
+                Atom::new("person", vec![v("S2")]),
+            ],
+        );
+        let (answers, stats) = evaluate_cq_instrumented(&db, &q, &EvalConfig::default());
+        let ucq = UnionOfConjunctiveQueries::new(vec![q.clone()]);
+        assert_eq!(answers.len(), 10);
+        assert_eq!(rows_of(&answers), naive_union(&db, &ucq));
+        // The join order is teaches, advisedBy, attends, person, and S is
+        // bound after the second atom. One witness per (S, P): 2 teaches +
+        // 10 advisedBy + 10 attends + 10 person rows, against 2 + 10 +
+        // 1,000 + 1,000 without the cut.
+        assert_eq!(stats.answers_emitted, 10, "{stats:?}");
+        assert_eq!(stats.rows_fetched, 32, "{stats:?}");
+    }
+
+    #[test]
+    fn boolean_query_fetches_one_witness() {
+        let mut db = Instance::new();
+        for i in 0..100 {
+            db.insert_fact("edge", &["hub", &format!("n{i}")]);
+        }
+        let q = ConjunctiveQuery::boolean(vec![Atom::new("edge", vec![v("X"), v("Y")])]);
+        let (answers, stats) = evaluate_cq_instrumented(&db, &q, &EvalConfig::default());
+        assert!(answers.as_boolean());
+        assert_eq!(stats.rows_fetched, 1, "{stats:?}");
+        assert_eq!(stats.answers_emitted, 1, "{stats:?}");
+        let none = ConjunctiveQuery::boolean(vec![Atom::new("edge", vec![v("X"), v("X")])]);
+        assert!(!evaluate_boolean(&db, &none));
+    }
+
+    #[test]
+    fn wide_relations_have_no_arity_limit() {
+        let mut db = Instance::new();
+        for i in 0..30 {
+            let cols: Vec<String> = (0..10).map(|c| format!("v{}", (i + c) % 7)).collect();
+            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+            db.insert_fact("wide", &refs);
+            db.insert_fact("tag", &[&format!("v{}", i % 7)]);
+        }
+        let mut terms: Vec<Term> = (0..10).map(|c| v(&format!("X{c}"))).collect();
+        terms[3] = v("X0"); // a repeated variable
+        terms[9] = Term::constant("v2");
+        let q = ConjunctiveQuery::new(
+            vec![Variable::new("X0"), Variable::new("X5")],
+            vec![Atom::new("wide", terms), Atom::new("tag", vec![v("X5")])],
+        );
+        let answers = evaluate_cq(&db, &q);
+        let ucq = UnionOfConjunctiveQueries::new(vec![q]);
+        assert_eq!(rows_of(&answers), naive_union(&db, &ucq));
+    }
+
+    #[test]
+    fn generic_join_visitor_matches_the_collected_join() {
+        let mut db = Instance::new();
+        for i in 0..60u32 {
+            db.insert_fact("e", &[&format!("u{i}"), &format!("u{}", (i * 7 + 1) % 60)]);
+            db.insert_fact("e", &[&format!("u{i}"), &format!("u{}", (i + 1) % 60)]);
+        }
+        let body = vec![
+            Atom::new("e", vec![v("X"), v("Y")]),
+            Atom::new("e", vec![v("Y"), v("Z")]),
+            Atom::new("e", vec![v("X"), v("Z")]),
+        ];
+        let seed = Substitution::new();
+        let collected: BTreeSet<String> = ontorew_unify::generic_join_all(&body, &db, &seed)
+            .iter()
+            .map(|s| format!("{s:?}"))
+            .collect();
+        let mut visited = BTreeSet::new();
+        generic_join_visit(&body, &db, &seed, &mut |s| {
+            visited.insert(format!("{s:?}"));
+        });
+        assert_eq!(visited, collected);
+        // The evaluator's generic-join branch projects the same matches.
+        let q = ConjunctiveQuery::new(vec![Variable::new("X"), Variable::new("Z")], body);
+        let (answers, _) = evaluate_cq_instrumented(
+            &db,
+            &q,
+            &EvalConfig {
+                strategy: Some(JoinStrategy::GenericJoin),
+                ..EvalConfig::default()
+            },
+        );
+        let ucq = UnionOfConjunctiveQueries::new(vec![q]);
+        assert_eq!(rows_of(&answers), naive_union(&db, &ucq));
     }
 
     #[test]

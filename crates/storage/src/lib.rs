@@ -2,11 +2,14 @@
 //!
 //! The relational substrate of the OBDA stack over `ontorew-model`'s
 //! [`Instance`] — the one fact container, whose relations carry eager
-//! per-column hash indexes in copy-on-write segments: an index-nested-loop
-//! join evaluator for conjunctive queries and UCQs, the statistics and cost
-//! model that pick a join strategy, durable persistence (WAL, segments,
-//! recovery), and a SQL renderer for rewritings. The stored database and
-//! the instance the chase extends are the same value.
+//! per-column hash indexes in copy-on-write segments: a conjunctive-query
+//! and UCQ evaluator (each query compiled to a slot frame and searched by
+//! index-nested loops with an existential cut, or by the generic join, all
+//! disjuncts of a union writing into one answer sink on the calling
+//! thread), the statistics and cost model that pick a join strategy,
+//! durable persistence (WAL, segments, recovery), and a SQL renderer for
+//! rewritings. The stored database and the instance the chase extends are
+//! the same value.
 //!
 //! The paper assumes the extensional data lives in a standard relational
 //! DBMS; this crate is the simulation of that DBMS (see DESIGN.md §1 for the
@@ -33,8 +36,8 @@ mod relation;
 
 pub use cost::{estimate_join_cost, JoinCost};
 pub use eval::{
-    evaluate_boolean, evaluate_cq, evaluate_cq_instrumented, evaluate_ucq, evaluate_ucq_configured,
-    evaluate_ucq_with, AnswerSet, EvalConfig, EvalStats,
+    evaluate_boolean, evaluate_cq, evaluate_cq_instrumented, evaluate_into, evaluate_ucq,
+    evaluate_ucq_configured, evaluate_ucq_into, AnswerSet, AnswerSink, EvalConfig, EvalStats,
 };
 pub use ontorew_unify::JoinStrategy;
 pub use persist::{FsyncPolicy, TenantStorage};

@@ -21,7 +21,16 @@
 //!    comparable, and every other supporting atom filters the survivors
 //!    with an existence probe ([`IndexedRelation::contains_match`]), so the
 //!    per-variable work stays proportional to the smallest candidate list;
-//! 3. each surviving value is bound and the search recurses.
+//! 3. each surviving value is written in place into the patterns of the
+//!    atoms that mention the variable (at columns computed once per body),
+//!    the search recurses, and the columns are restored afterwards — no
+//!    pattern is rebuilt per value.
+//!
+//! There is one search, [`generic_join_visit`]: it hands each complete
+//! substitution to a visitor instead of collecting it, so the query
+//! evaluator projects answers straight into its answer set while
+//! [`generic_join_all`] and the delta variants stay thin collecting
+//! wrappers for the chase.
 //!
 //! Because an atom's pattern is fully ground exactly when its last variable
 //! is resolved — and the value lists / probes are exact (ground columns and
@@ -182,27 +191,20 @@ struct AtomState<'a> {
     source: Source<'a>,
 }
 
-impl AtomState<'_> {
-    fn contains_var(&self, v: Variable) -> bool {
-        self.pattern.contains(&Term::Variable(v))
-    }
+/// The atoms that mention one variable of the order, each with the columns
+/// the variable occupies there: where a value is bound in place.
+type Supports = Vec<(usize, Vec<usize>)>;
 
-    fn first_col_of(&self, v: Variable) -> usize {
-        self.pattern
-            .iter()
-            .position(|t| *t == Term::Variable(v))
-            .expect("variable occurs in pattern")
-    }
-}
-
-/// Find every homomorphism from `atoms` into `relations` extending `seed` —
+/// Visit every homomorphism from `atoms` into `relations` extending `seed` —
 /// the same substitution set as [`crate::all_homomorphisms`] (order may
-/// differ), computed variable-at-a-time.
-pub fn generic_join_all(
+/// differ), computed variable-at-a-time. `visit` sees each one once, as a
+/// borrowed substitution that the search goes on to rebind.
+pub fn generic_join_visit(
     atoms: &[Atom],
     relations: &Instance,
     seed: &Substitution,
-) -> Vec<Substitution> {
+    visit: &mut dyn FnMut(&Substitution),
+) {
     metrics().evaluations_generic.inc();
     let mut eval_span = span("join.eval");
     eval_span.attr("strategy", "generic_join");
@@ -217,8 +219,23 @@ pub fn generic_join_all(
                 .unwrap_or(Source::Absent),
         })
         .collect();
-    let out = run(states, seed);
-    eval_span.attr("answers", out.len());
+    let mut answers = 0usize;
+    run(states, seed, &mut |sub| {
+        answers += 1;
+        visit(sub);
+    });
+    eval_span.attr("answers", answers);
+}
+
+/// [`generic_join_visit`], collected: every homomorphism from `atoms` into
+/// `relations` extending `seed`.
+pub fn generic_join_all(
+    atoms: &[Atom],
+    relations: &Instance,
+    seed: &Substitution,
+) -> Vec<Substitution> {
+    let mut out = Vec::new();
+    generic_join_visit(atoms, relations, seed, &mut |sub| out.push(sub.clone()));
     out
 }
 
@@ -282,15 +299,16 @@ pub fn generic_join_delta_pivot(
             },
         })
         .collect();
-    let out = run(states, seed);
+    let mut out = Vec::new();
+    run(states, seed, &mut |sub| out.push(sub.clone()));
     eval_span.attr("answers", out.len());
     out
 }
 
 /// Drive the search: check atoms that are ground at entry, order the
-/// variables, and recurse. Returns `[seed]` for a satisfied variable-free
+/// variables, and recurse. Visits `seed` once for a satisfied variable-free
 /// body (matching [`crate::all_homomorphisms`] on empty atom lists).
-fn run(mut states: Vec<AtomState<'_>>, seed: &Substitution) -> Vec<Substitution> {
+fn run(mut states: Vec<AtomState<'_>>, seed: &Substitution, visit: &mut dyn FnMut(&Substitution)) {
     // Atoms ground at entry are membership checks; failing one empties the
     // join, passing ones drop out of the search.
     let mut ok = true;
@@ -303,13 +321,29 @@ fn run(mut states: Vec<AtomState<'_>>, seed: &Substitution) -> Vec<Substitution>
         }
     });
     if !ok {
-        return Vec::new();
+        return;
     }
     let order = order_variables(&states);
-    let mut out = Vec::new();
+    // Which atoms mention each variable, and at which columns, is fixed by
+    // the body: computed once, not per value.
+    let supports: Vec<Supports> = order
+        .iter()
+        .map(|&v| {
+            let var = Term::Variable(v);
+            states
+                .iter()
+                .enumerate()
+                .filter_map(|(i, state)| {
+                    let cols: Vec<usize> = (0..state.pattern.len())
+                        .filter(|&c| state.pattern[c] == var)
+                        .collect();
+                    (!cols.is_empty()).then_some((i, cols))
+                })
+                .collect()
+        })
+        .collect();
     let mut current = seed.clone();
-    solve(&order, 0, &mut states, &mut current, &mut out);
-    out
+    solve(&order, &supports, 0, &mut states, &mut current, visit);
 }
 
 /// The selectivity-greedy variable order: repeatedly pick the unresolved
@@ -340,7 +374,10 @@ fn order_variables(states: &[AtomState<'_>]) -> Vec<Variable> {
                 let mut min_bound = usize::MAX;
                 let mut occurrences = 0usize;
                 let mut connected = false;
-                for state in states.iter().filter(|s| s.contains_var(v)) {
+                for state in states
+                    .iter()
+                    .filter(|s| s.pattern.contains(&Term::Variable(v)))
+                {
                     occurrences += 1;
                     min_bound = min_bound.min(state.source.bound(&state.pattern));
                     connected |= state.pattern.iter().any(|t| match t {
@@ -363,26 +400,36 @@ fn order_variables(states: &[AtomState<'_>]) -> Vec<Variable> {
     order
 }
 
+/// Write `value` into `state`'s pattern at `cols` (a variable's columns).
+fn bind_columns(state: &mut AtomState<'_>, cols: &[usize], value: Term) {
+    for &c in cols {
+        state.pattern[c] = value;
+    }
+}
+
 /// Resolve variable `order[vi]`: intersect the candidate value lists of the
 /// two cheapest supporting atoms, semijoin-filter through the rest, then
-/// bind each survivor and recurse.
+/// bind each survivor in place and recurse; at full depth, visit.
 fn solve(
     order: &[Variable],
+    supports: &[Supports],
     vi: usize,
     states: &mut [AtomState<'_>],
     current: &mut Substitution,
-    out: &mut Vec<Substitution>,
+    visit: &mut dyn FnMut(&Substitution),
 ) {
     if vi == order.len() {
-        out.push(current.clone());
+        visit(current);
         return;
     }
     let v = order[vi];
-    let mut supports: Vec<usize> = (0..states.len())
-        .filter(|&i| states[i].contains_var(v))
-        .collect();
-    debug_assert!(!supports.is_empty(), "ordered variable occurs in some atom");
-    supports.sort_by_key(|&i| states[i].source.bound(&states[i].pattern));
+    let level = &supports[vi];
+    debug_assert!(!level.is_empty(), "ordered variable occurs in some atom");
+    let mut ranked: Vec<usize> = (0..level.len()).collect();
+    ranked.sort_by_key(|&s| {
+        let state = &states[level[s].0];
+        state.source.bound(&state.pattern)
+    });
 
     // The cheapest support enumerates. The second-cheapest is materialised
     // and merged with `intersect_sorted` only when its bound is comparable —
@@ -390,60 +437,49 @@ fn solve(
     // larger (e.g. unconstrained) support, per-survivor existence probes are
     // what keep the per-variable work proportional to the *smallest* list,
     // the property the worst-case-optimality argument rests on.
-    let first = &states[supports[0]];
+    let (first_idx, first_cols) = &level[ranked[0]];
+    let first = &states[*first_idx];
     let first_bound = first.source.bound(&first.pattern);
-    let mut values = first.source.values(&first.pattern, first.first_col_of(v));
+    let mut values = first.source.values(&first.pattern, first_cols[0]);
     let mut probe_from = 1;
-    if let Some(&second_idx) = supports.get(1) {
-        let second = &states[second_idx];
+    if let Some(&second) = ranked.get(1) {
+        let (second_idx, second_cols) = &level[second];
+        let second = &states[*second_idx];
         if !values.is_empty()
             && second.source.bound(&second.pattern) <= 4 * first_bound.saturating_add(4)
         {
-            let other = second
-                .source
-                .values(&second.pattern, second.first_col_of(v));
+            let other = second.source.values(&second.pattern, second_cols[0]);
             values = intersect_sorted(&values, &other);
             probe_from = 2;
         }
     }
-    if supports.len() > probe_from && !values.is_empty() {
+    if ranked.len() > probe_from && !values.is_empty() {
         values.retain(|value| {
-            supports[probe_from..].iter().all(|&i| {
-                let state = &states[i];
-                let pattern = bind_pattern(&state.pattern, v, *value);
-                state.source.probe(&pattern)
+            ranked[probe_from..].iter().all(|&s| {
+                let (i, cols) = &level[s];
+                let state = &mut states[*i];
+                bind_columns(state, cols, *value);
+                let found = state.source.probe(&state.pattern);
+                bind_columns(state, cols, Term::Variable(v));
+                found
             })
         });
     }
     metrics().intersection_size.observe(values.len() as u64);
-    for value in values {
+    for &value in &values {
         current.bind(v, value);
-        let mut touched: Vec<(usize, Vec<Term>)> = Vec::with_capacity(supports.len());
-        for &i in &supports {
-            let bound = bind_pattern(&states[i].pattern, v, value);
-            touched.push((i, std::mem::replace(&mut states[i].pattern, bound)));
+        for (i, cols) in level {
+            bind_columns(&mut states[*i], cols, value);
         }
-        solve(order, vi + 1, states, current, out);
-        for (i, saved) in touched {
-            states[i].pattern = saved;
-        }
+        solve(order, supports, vi + 1, states, current, visit);
     }
-    // Leave `current` without a binding for `v` only logically: the next
-    // sibling value overwrites it, and the caller restores its own level the
-    // same way, so stale bindings never leak into emitted substitutions
-    // (every emit happens at full depth where all variables are freshly
-    // bound).
-}
-
-/// `pattern` with every occurrence of variable `v` replaced by `value`.
-fn bind_pattern(pattern: &[Term], v: Variable, value: Term) -> Vec<Term> {
-    pattern
-        .iter()
-        .map(|t| match t {
-            Term::Variable(u) if *u == v => value,
-            other => *other,
-        })
-        .collect()
+    // Every value wrote the same columns: restore them once. `current` keeps
+    // a stale binding for `v`, which is harmless — the next sibling value
+    // overwrites it, and every visit happens at full depth where all
+    // variables are freshly bound.
+    for (i, cols) in level {
+        bind_columns(&mut states[*i], cols, Term::Variable(v));
+    }
 }
 
 /// True if the variable hypergraph of `atoms` is cyclic (GYO ear-removal

@@ -27,7 +27,7 @@ pub mod piece;
 pub use containment::{are_equivalent, is_contained_in, minimize, prune_ucq, prune_ucq_budgeted};
 pub use generic_join::{
     choose_join_strategy, generic_join_all, generic_join_delta, generic_join_delta_pivot,
-    is_cyclic, JoinStrategy, GENERIC_JOIN_MIN_FACTS,
+    generic_join_visit, is_cyclic, JoinStrategy, GENERIC_JOIN_MIN_FACTS,
 };
 pub use homomorphism::{
     all_homomorphisms, all_homomorphisms_delta, all_homomorphisms_delta_chunk, find_homomorphism,
