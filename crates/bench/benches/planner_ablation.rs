@@ -1,17 +1,47 @@
-//! E11 (ablation): what the evaluator's optimisations buy on the OBDA hot
-//! path — greedy join reordering and lazy per-column hash indexes — measured
-//! on a rewritten query over the sensor-network suite.
+//! E11 (ablation): what the evaluator's choices buy on the OBDA hot path —
+//! atoms ordered by relation size or by collected statistics, and the join
+//! strategy forced to backtracking or to the generic join — measured on a
+//! rewritten query over the sensor-network suite.
 //!
 //! The rewriting-based answering loop of E8 evaluates every disjunct of the
 //! rewriting over the extensional store; this ablation isolates that
-//! evaluation step and toggles `EvalConfig::reorder_atoms` /
-//! `EvalConfig::use_indexes`.
+//! evaluation step and varies `EvalConfig::statistics` and
+//! `EvalConfig::strategy`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ontorew_model::parse_query;
 use ontorew_rewrite::{rewrite, RewriteConfig};
-use ontorew_storage::{evaluate_cq_instrumented, EvalConfig, StoreStatistics};
+use ontorew_storage::{evaluate_cq_instrumented, EvalConfig, JoinStrategy, StoreStatistics};
 use ontorew_workloads::{sensor_network_abox, sensor_network_ontology};
+
+/// The configurations compared: atom order by relation size or by
+/// statistics, and each join strategy forced.
+fn configs(stats: &StoreStatistics) -> [(&'static str, EvalConfig<'_>); 4] {
+    [
+        ("size-ordered", EvalConfig::default()),
+        (
+            "statistics-ordered",
+            EvalConfig {
+                statistics: Some(stats),
+                ..EvalConfig::default()
+            },
+        ),
+        (
+            "forced-backtracking",
+            EvalConfig {
+                strategy: Some(JoinStrategy::Backtracking),
+                ..EvalConfig::default()
+            },
+        ),
+        (
+            "forced-generic-join",
+            EvalConfig {
+                strategy: Some(JoinStrategy::GenericJoin),
+                ..EvalConfig::default()
+            },
+        ),
+    ]
+}
 
 fn bench(c: &mut Criterion) {
     let ontology = sensor_network_ontology();
@@ -24,32 +54,7 @@ fn bench(c: &mut Criterion) {
         let data = sensor_network_abox(measurements / 50 + 10, 8, measurements, 7);
         let store = data;
         let stats = StoreStatistics::collect(&store);
-        let configs: [(&str, EvalConfig<'_>); 4] = [
-            (
-                "baseline (no planner/index)",
-                EvalConfig {
-                    reorder_atoms: false,
-                    use_indexes: false,
-                    ..EvalConfig::default()
-                },
-            ),
-            (
-                "indexes only",
-                EvalConfig {
-                    reorder_atoms: false,
-                    use_indexes: true,
-                    ..EvalConfig::default()
-                },
-            ),
-            ("planner + indexes", EvalConfig::default()),
-            (
-                "planner + indexes + stats",
-                EvalConfig {
-                    statistics: Some(&stats),
-                    ..EvalConfig::default()
-                },
-            ),
-        ];
+        let configs = configs(&stats);
         for (label, config) in &configs {
             let mut fetched = 0usize;
             let mut answers = 0usize;
@@ -67,24 +72,7 @@ fn bench(c: &mut Criterion) {
     let stats = StoreStatistics::collect(&store);
     let mut group = c.benchmark_group("planner_ablation");
     group.sample_size(20);
-    let cases: [(&str, EvalConfig<'_>); 3] = [
-        (
-            "no_planner_no_index",
-            EvalConfig {
-                reorder_atoms: false,
-                use_indexes: false,
-                ..EvalConfig::default()
-            },
-        ),
-        ("planner_index", EvalConfig::default()),
-        (
-            "planner_index_stats",
-            EvalConfig {
-                statistics: Some(&stats),
-                ..EvalConfig::default()
-            },
-        ),
-    ];
+    let cases = configs(&stats);
     for (label, config) in cases {
         group.bench_with_input(BenchmarkId::new("ucq_eval", label), &config, |b, cfg| {
             b.iter(|| {

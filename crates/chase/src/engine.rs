@@ -37,11 +37,12 @@
 use crate::layered::TriggerKeySet;
 use crate::provenance::DerivationGraph;
 use crate::trigger::{
-    find_rule_triggers, find_rule_triggers_delta_with, find_rule_triggers_with, RulePlan, Trigger,
-    TriggerKey,
+    find_rule_triggers, find_rule_triggers_delta_with, find_rule_triggers_with, HeadCheck,
+    RulePlan, Trigger, TriggerKey,
 };
 use ontorew_model::prelude::*;
 use ontorew_telemetry::{global_registry, span, Counter, Gauge, Histogram};
+use ontorew_unify::choose_join_strategy;
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
@@ -279,7 +280,7 @@ pub(crate) fn sequential_round_search<'a>(
         for (rule_index, rule) in program.iter().enumerate() {
             // Per-rule, per-round strategy: generic join for cyclic bodies
             // over enough facts, backtracking otherwise.
-            let strategy = plans[rule_index].join_strategy(instance);
+            let strategy = choose_join_strategy(&rule.body, plans[rule_index].cyclic, instance);
             match (config.strategy, delta) {
                 (ChaseStrategy::Naive, _) | (ChaseStrategy::SemiNaive, None) => {
                     triggers.extend(find_rule_triggers_with(
@@ -424,10 +425,10 @@ pub fn chase_incremental(
     IncrementalChase { result, added }
 }
 
-/// The breadth-first round driver shared by [`chase`], [`chase_incremental`]
-/// and [`crate::chase_parallel`]: budget checks, trigger-key deduplication,
-/// the firing policy, and delta maintenance all live here, so the sequential
-/// and parallel engines cannot drift apart. `search_round(instance, delta)`
+/// The breadth-first round driver shared by [`chase`] and
+/// [`chase_incremental`]: budget checks, trigger-key deduplication, the
+/// firing policy, and delta maintenance all live here, so the fresh and
+/// incremental runs cannot drift apart. `search_round(instance, delta)`
 /// supplies one round's triggers in rule order — the full search for the
 /// naive strategy, the delta-restricted search for the semi-naive one.
 ///
@@ -492,6 +493,10 @@ pub(crate) fn run_chase_rounds(
         let fired_before = fired;
         let len_before = instance.len();
         let mut new_facts: Vec<Atom> = Vec::new();
+        // One compiled head check per rule for the round, reseeded per
+        // trigger: the round fires against a fixed instance.
+        let mut heads: Vec<Option<HeadCheck<'_>>> = Vec::new();
+        heads.resize_with(plans.len(), || None);
         for trigger in triggers {
             let rule = &program.rules()[trigger.rule_index];
             let plan = &plans[trigger.rule_index];
@@ -503,12 +508,10 @@ pub(crate) fn run_chase_rounds(
             );
             // The per-key cache: triggers sharing a (rule, frontier image)
             // — several homomorphisms differing only in non-frontier
-            // variables, possibly returned by different chunks of the
-            // partitioned parallel search — get exactly one satisfaction
-            // check and one firing between them. For the restricted chase a
-            // satisfied trigger is retired as well: its head is already
-            // entailed, so it never needs to fire later (the instance only
-            // grows).
+            // variables — get exactly one satisfaction check and one firing
+            // between them. For the restricted chase a satisfied trigger is
+            // retired as well: its head is already entailed, so it never
+            // needs to fire later (the instance only grows).
             let retired = match graph.as_ref() {
                 Some(g) => g.has_key(trigger.rule_index, &frontier_image),
                 None => !fired_keys.insert(trigger.rule_index, &frontier_image),
@@ -520,15 +523,20 @@ pub(crate) fn run_chase_rounds(
             // provenance on its satisfying head image is recorded as a
             // *witness edge*: the alternative derivation a later retraction
             // must know about before deleting one of the head facts.
-            let witness = match (config.variant, graph.is_some()) {
-                (ChaseVariant::Oblivious, _) => None,
-                (ChaseVariant::Restricted, false) => {
-                    if !trigger.is_active_planned(plan, &instance) {
+            let witness = match config.variant {
+                ChaseVariant::Oblivious => None,
+                ChaseVariant::Restricted => {
+                    let head = heads[trigger.rule_index].get_or_insert_with(|| {
+                        HeadCheck::new(&rule.head, &plan.frontier, &instance)
+                    });
+                    if graph.is_some() {
+                        head.satisfying_image(&frontier_image)
+                    } else if head.satisfied(&frontier_image) {
                         continue;
+                    } else {
+                        None
                     }
-                    None
                 }
-                (ChaseVariant::Restricted, true) => trigger.satisfying_image(plan, &instance),
             };
             let produced = match &witness {
                 Some(_) => None,
@@ -627,14 +635,17 @@ pub(crate) fn run_chase_rounds(
 pub fn is_model(program: &TgdProgram, instance: &Instance) -> bool {
     for rule in program.iter() {
         let plan = RulePlan::new(rule);
+        let mut head = HeadCheck::new(&rule.head, &plan.frontier, instance);
         let mut checked: HashSet<TriggerKey> = HashSet::new();
         for trigger in find_rule_triggers(0, rule, instance) {
-            if !checked.insert(trigger.key_with(&plan.frontier)) {
+            let key = trigger.key_with(&plan.frontier);
+            if checked.contains(&key) {
                 continue;
             }
-            if trigger.is_active_planned(&plan, instance) {
+            if !head.satisfied(&key.frontier_image) {
                 return false;
             }
+            checked.insert(key);
         }
     }
     true

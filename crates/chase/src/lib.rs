@@ -10,7 +10,6 @@
 //! * [`termination`] — weak acyclicity, the classical chase-termination test;
 //! * [`certain`] — certain answers by chase materialization (the ground truth
 //!   the rewriting engine is validated against);
-//! * [`parallel`] — crossbeam-parallel trigger search for large instances;
 //! * [`equiv`] — comparing chased instances up to null renaming (used by the
 //!   naive-vs-semi-naive equivalence tests);
 //! * [`layered`] — the persistent layer stack (frozen `Arc`-shared layers
@@ -29,7 +28,6 @@ pub mod certain;
 pub mod engine;
 pub mod equiv;
 pub mod layered;
-pub mod parallel;
 pub mod provenance;
 pub mod retract;
 pub mod termination;
@@ -42,10 +40,6 @@ pub use engine::{
 };
 pub use equiv::{equivalent_up_to_null_renaming, homomorphically_equivalent};
 pub use layered::TriggerKeySet;
-pub use parallel::{
-    chase_parallel, find_triggers_delta_parallel, find_triggers_parallel,
-    find_triggers_parallel_with,
-};
 pub use provenance::{
     explain_absent, DerivationEdge, DerivationGraph, EdgeId, FactId, WhyNot, WhyNotCandidate,
     WhyStep,
@@ -53,7 +47,6 @@ pub use provenance::{
 pub use retract::{chase_retract, RetractedChase};
 pub use termination::{is_weakly_acyclic, DependencyGraph, DependencyPosition};
 pub use trigger::{
-    find_rule_triggers, find_rule_triggers_delta, find_rule_triggers_delta_chunk,
-    find_rule_triggers_delta_pivot_generic, find_rule_triggers_delta_with, find_rule_triggers_with,
-    find_triggers, RulePlan, Trigger, TriggerKey,
+    find_rule_triggers, find_rule_triggers_delta_with, find_rule_triggers_with, find_triggers,
+    RulePlan, Trigger, TriggerKey,
 };

@@ -267,7 +267,9 @@ pub fn chase_retract(
         };
         let witness = match config.variant {
             ChaseVariant::Oblivious => None,
-            ChaseVariant::Restricted => trigger.satisfying_image(plan, &instance),
+            ChaseVariant::Restricted => {
+                trigger.satisfying_image(&rule.head, &plan.frontier, &instance)
+            }
         };
         let satisfied = witness.is_some();
         let conclusions =

@@ -2,17 +2,15 @@
 
 use ontorew_model::prelude::*;
 use ontorew_unify::{
-    all_homomorphisms, all_homomorphisms_delta, all_homomorphisms_delta_chunk, find_homomorphism,
-    find_homomorphism_ordered, generic_join_all, generic_join_delta, generic_join_delta_pivot,
-    is_cyclic, plan_match_order, JoinStrategy, GENERIC_JOIN_MIN_FACTS,
+    all_homomorphisms, all_homomorphisms_delta, generic_join_all, generic_join_delta, is_cyclic,
+    Backtrack, JoinStrategy,
 };
 use std::collections::BTreeSet;
 
 /// Per-rule metadata the chase needs for every trigger, computed once per
 /// chase run instead of once per trigger: the frontier, the existential head
 /// variables, the set of body predicates (used to skip rules whose body
-/// cannot touch a round's delta), and the pre-planned match order of the
-/// head atoms for the restricted chase's satisfaction check.
+/// cannot touch a round's delta), and whether the body is cyclic.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     /// The rule's frontier (distinguished variables), in head order.
@@ -21,26 +19,19 @@ pub struct RulePlan {
     pub existentials: Vec<Variable>,
     /// The predicates occurring in the rule body.
     pub body_predicates: BTreeSet<Predicate>,
-    /// The head atoms in the greedy match order the satisfaction check uses,
-    /// planned once per rule (the seed domain — the frontier — is the same
-    /// for every trigger of the rule, so the order never changes).
-    pub head_order: Vec<Atom>,
     /// True if the body's variable hypergraph is cyclic (GYO test) — the
     /// shapes on which the worst-case-optimal generic join beats the
-    /// backtracking trigger search.
+    /// backtracking trigger search (see [`ontorew_unify::choose_join_strategy`]).
     pub cyclic: bool,
 }
 
 impl RulePlan {
     /// Precompute the plan of one rule.
     pub fn new(rule: &Tgd) -> Self {
-        let frontier = rule.frontier();
-        let head_order = plan_match_order(&rule.head, frontier.iter().copied());
         RulePlan {
-            frontier,
+            frontier: rule.frontier(),
             existentials: rule.existential_head_variables(),
             body_predicates: predicates_of(&rule.body),
-            head_order,
             cyclic: is_cyclic(&rule.body),
         }
     }
@@ -51,27 +42,6 @@ impl RulePlan {
         self.body_predicates
             .iter()
             .any(|p| delta.relation_size(*p) > 0)
-    }
-
-    /// The per-rule join strategy on `instance`: generic join when the body
-    /// is cyclic and the touched relations hold enough facts for the
-    /// variable-at-a-time overhead to pay, backtracking otherwise. Evaluated
-    /// per round — a rule can graduate to the generic join as the chase
-    /// grows the instance.
-    pub fn join_strategy(&self, instance: &Instance) -> JoinStrategy {
-        if !self.cyclic {
-            return JoinStrategy::Backtracking;
-        }
-        let total: usize = self
-            .body_predicates
-            .iter()
-            .map(|p| instance.relation_size(*p))
-            .sum();
-        if total >= GENERIC_JOIN_MIN_FACTS {
-            JoinStrategy::GenericJoin
-        } else {
-            JoinStrategy::Backtracking
-        }
     }
 }
 
@@ -100,40 +70,26 @@ impl Trigger {
 
     /// [`Trigger::key`] with a precomputed frontier (see [`RulePlan`]).
     pub fn key_with(&self, frontier: &[Variable]) -> TriggerKey {
-        let frontier_image: Vec<Term> = frontier
-            .iter()
-            .map(|v| self.homomorphism.apply_term(Term::Variable(*v)))
-            .collect();
         TriggerKey {
             rule_index: self.rule_index,
-            frontier_image,
+            frontier_image: self.frontier_image(frontier),
         }
+    }
+
+    /// The image of `frontier` under the homomorphism.
+    fn frontier_image(&self, frontier: &[Variable]) -> Vec<Term> {
+        frontier
+            .iter()
+            .map(|v| self.homomorphism.apply_term(Term::Variable(*v)))
+            .collect()
     }
 
     /// True if the trigger is *active* on `instance` for the restricted
     /// (standard) chase: the homomorphism of the body cannot be extended to a
     /// homomorphism of the head into `instance`.
     pub fn is_active(&self, rule: &Tgd, instance: &Instance) -> bool {
-        self.is_active_with(&rule.head, &rule.frontier(), instance)
-    }
-
-    /// [`Trigger::is_active`] with a precomputed frontier (see [`RulePlan`]).
-    pub fn is_active_with(
-        &self,
-        head: &[Atom],
-        frontier: &[Variable],
-        instance: &Instance,
-    ) -> bool {
-        let seed = self.homomorphism.restrict(frontier);
-        find_homomorphism(head, instance, &seed).is_none()
-    }
-
-    /// The satisfaction check of the restricted chase with the whole
-    /// [`RulePlan`]: reuses the rule's pre-planned head match order, so each
-    /// check is a plain backtracking search with no per-trigger planning.
-    pub fn is_active_planned(&self, plan: &RulePlan, instance: &Instance) -> bool {
-        let seed = self.homomorphism.restrict(&plan.frontier);
-        find_homomorphism_ordered(&plan.head_order, instance, &seed).is_none()
+        let frontier = rule.frontier();
+        !HeadCheck::new(&rule.head, &frontier, instance).satisfied(&self.frontier_image(&frontier))
     }
 
     /// The satisfying head image of a non-active trigger: when the head can
@@ -142,10 +98,13 @@ impl Trigger {
     /// facts that witness satisfaction. Returns `None` for an active trigger.
     /// Provenance tracking records these as *witness edges*: the alternative
     /// derivations the restricted chase skipped, which deletion must consult.
-    pub fn satisfying_image(&self, plan: &RulePlan, instance: &Instance) -> Option<Vec<Atom>> {
-        let seed = self.homomorphism.restrict(&plan.frontier);
-        find_homomorphism_ordered(&plan.head_order, instance, &seed)
-            .map(|sub| sub.apply_atoms(&plan.head_order))
+    pub fn satisfying_image(
+        &self,
+        head: &[Atom],
+        frontier: &[Variable],
+        instance: &Instance,
+    ) -> Option<Vec<Atom>> {
+        HeadCheck::new(head, frontier, instance).satisfying_image(&self.frontier_image(frontier))
     }
 
     /// The head atoms generated by firing this trigger: frontier variables are
@@ -163,6 +122,41 @@ impl Trigger {
             assignment.bind(*z, Term::fresh_null());
         }
         assignment.apply_atoms(head)
+    }
+}
+
+/// The restricted chase's satisfaction check of one rule head over one
+/// instance, compiled once and run per trigger: the frontier is the seed,
+/// and with no answer variables the search stops at the first match. A
+/// chase round builds one per rule and reseeds it with each trigger's
+/// frontier image.
+pub(crate) struct HeadCheck<'a> {
+    head: &'a [Atom],
+    search: Backtrack<'a>,
+}
+
+impl<'a> HeadCheck<'a> {
+    /// Compile the check of `head`, seeded by `frontier`, over `instance`.
+    pub(crate) fn new(head: &'a [Atom], frontier: &[Variable], instance: &'a Instance) -> Self {
+        let sizes = |atom: &Atom| instance.relation_size(atom.predicate);
+        HeadCheck {
+            head,
+            search: Backtrack::new(head, instance, frontier, &[], &sizes),
+        }
+    }
+
+    /// True if the head maps into the instance with the frontier bound to
+    /// `frontier_image`: the trigger is satisfied, not active.
+    pub(crate) fn satisfied(&mut self, frontier_image: &[Term]) -> bool {
+        self.search.seed(frontier_image);
+        self.search.exists()
+    }
+
+    /// The facts the head maps onto with the frontier bound to
+    /// `frontier_image`, or `None` when the trigger is active.
+    pub(crate) fn satisfying_image(&mut self, frontier_image: &[Term]) -> Option<Vec<Atom>> {
+        self.satisfied(frontier_image)
+            .then(|| self.search.image(self.head))
     }
 }
 
@@ -195,7 +189,7 @@ pub fn find_rule_triggers(rule_index: usize, rule: &Tgd, instance: &Instance) ->
 }
 
 /// [`find_rule_triggers`] with an explicit join strategy (see
-/// [`RulePlan::join_strategy`]). Both strategies enumerate exactly the same
+/// [`ontorew_unify::choose_join_strategy`]). Both strategies enumerate exactly the same
 /// triggers; only the search order and cost differ.
 pub fn find_rule_triggers_with(
     rule_index: usize,
@@ -220,18 +214,8 @@ pub fn find_rule_triggers_with(
 /// fact of `delta`** (where `delta ⊆ full`): exactly the triggers that did
 /// not exist on `full \ delta`. This is the semi-naive work-horse — a chase
 /// round passes the previous round's newly derived facts as `delta` and
-/// never re-enumerates old triggers.
-pub fn find_rule_triggers_delta(
-    rule_index: usize,
-    rule: &Tgd,
-    full: &Instance,
-    delta: &Instance,
-) -> Vec<Trigger> {
-    find_rule_triggers_delta_with(rule_index, rule, full, delta, JoinStrategy::Backtracking)
-}
-
-/// [`find_rule_triggers_delta`] with an explicit join strategy (see
-/// [`RulePlan::join_strategy`]). Both strategies enumerate exactly the same
+/// never re-enumerates old triggers. Both join strategies (see
+/// [`ontorew_unify::choose_join_strategy`]) enumerate exactly the same
 /// delta triggers.
 pub fn find_rule_triggers_delta_with(
     rule_index: usize,
@@ -255,59 +239,6 @@ pub fn find_rule_triggers_delta_with(
             homomorphism,
         })
         .collect()
-}
-
-/// One pivot's share of the generic-join delta trigger search (see
-/// [`ontorew_unify::generic_join_delta_pivot`]): the parallel engine's work
-/// unit for cyclic rules, where intra-pivot chunking is not available but
-/// the per-pivot searches are already independent.
-pub fn find_rule_triggers_delta_pivot_generic(
-    rule_index: usize,
-    rule: &Tgd,
-    full: &Instance,
-    delta: &Instance,
-    pivot: usize,
-) -> Vec<Trigger> {
-    generic_join_delta_pivot(&rule.body, full, delta, &Substitution::new(), pivot)
-        .into_iter()
-        .map(|homomorphism| Trigger {
-            rule_index,
-            homomorphism,
-        })
-        .collect()
-}
-
-/// One slice of [`find_rule_triggers_delta`]'s work: the triggers whose
-/// pivot is body atom `pivot` and whose pivot match falls in the `chunk`-th
-/// residue class of the pivot's delta candidates (see
-/// [`ontorew_unify::all_homomorphisms_delta_chunk`]). The union over all
-/// `(pivot, chunk)` pairs is exactly the rule's delta triggers, each
-/// produced once — how the parallel engine splits a single rule's trigger
-/// search across threads.
-pub fn find_rule_triggers_delta_chunk(
-    rule_index: usize,
-    rule: &Tgd,
-    full: &Instance,
-    delta: &Instance,
-    pivot: usize,
-    chunk: usize,
-    chunk_count: usize,
-) -> Vec<Trigger> {
-    all_homomorphisms_delta_chunk(
-        &rule.body,
-        full,
-        delta,
-        &Substitution::new(),
-        pivot,
-        chunk,
-        chunk_count,
-    )
-    .into_iter()
-    .map(|homomorphism| Trigger {
-        rule_index,
-        homomorphism,
-    })
-    .collect()
 }
 
 #[cfg(test)]
@@ -378,14 +309,19 @@ mod tests {
     fn satisfying_image_returns_the_witness_facts() {
         let p = program();
         let mut instance = db();
-        let plan = RulePlan::new(&p.rules()[0]);
+        let rule = &p.rules()[0];
+        let frontier = rule.frontier();
         let triggers = find_triggers(&p, &instance);
         let r1_trigger = triggers.iter().find(|t| t.rule_index == 0).unwrap().clone();
         // Active trigger: no satisfying image.
-        assert!(r1_trigger.satisfying_image(&plan, &instance).is_none());
+        assert!(r1_trigger
+            .satisfying_image(&rule.head, &frontier, &instance)
+            .is_none());
         // Satisfied trigger: the image is the existing witness fact.
         instance.insert_fact("hasParent", &["alice", "zoe"]);
-        let image = r1_trigger.satisfying_image(&plan, &instance).unwrap();
+        let image = r1_trigger
+            .satisfying_image(&rule.head, &frontier, &instance)
+            .unwrap();
         assert_eq!(image, vec![Atom::fact("hasParent", &["alice", "zoe"])]);
     }
 

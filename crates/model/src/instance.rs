@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// every column keeps a posting list from term to row ids that is maintained
 /// on insert. Because the indexes are always current, lookups need only
 /// shared (`&self`) access — which is what lets the homomorphism search and
-/// the parallel trigger search probe them without locking.
+/// concurrent readers probe them without locking.
 ///
 /// Duplicate detection interns whole tuples as `u64` ids: each stored row is
 /// represented in the dedup structure by its 64-bit content hash mapping to
@@ -436,23 +436,18 @@ impl IndexedRelation {
     /// many segments back the relation (this is the per-atom hot path of
     /// every join and homomorphism search).
     pub fn candidates<'a>(&'a self, pattern: &'a [Term]) -> Candidates<'a> {
-        let indexed = pattern.iter().any(Term::is_ground);
         match self.frozen.split_first() {
             None => Candidates {
                 current: self.tail.probe(pattern),
                 remaining: &[],
                 tail: None,
                 pattern,
-                scan: false,
-                indexed,
             },
             Some((first, rest)) => Candidates {
                 current: first.probe(pattern),
                 remaining: rest,
                 tail: Some(&self.tail),
                 pattern,
-                scan: false,
-                indexed,
             },
         }
     }
@@ -523,29 +518,6 @@ impl IndexedRelation {
             }
         }
         best
-    }
-
-    /// A full scan of the relation presented as a [`Candidates`] iterator
-    /// (the index-ablation path of the query evaluator).
-    pub fn scan_candidates(&self) -> Candidates<'_> {
-        match self.frozen.split_first() {
-            None => Candidates {
-                current: SegmentProbe::All(self.tail.rows.iter()),
-                remaining: &[],
-                tail: None,
-                pattern: &[],
-                scan: true,
-                indexed: false,
-            },
-            Some((first, rest)) => Candidates {
-                current: SegmentProbe::All(first.rows.iter()),
-                remaining: rest,
-                tail: Some(&self.tail),
-                pattern: &[],
-                scan: true,
-                indexed: false,
-            },
-        }
     }
 }
 
@@ -642,11 +614,8 @@ pub struct Candidates<'a> {
     remaining: &'a [Arc<Segment>],
     /// The tail segment, probed last (`None` once consumed or absent).
     tail: Option<&'a Segment>,
-    /// The probe pattern (unused in scan mode).
+    /// The probe pattern.
     pattern: &'a [Term],
-    /// True for a full scan: later segments are scanned, not probed.
-    scan: bool,
-    indexed: bool,
 }
 
 impl<'a> Candidates<'a> {
@@ -657,24 +626,11 @@ impl<'a> Candidates<'a> {
             remaining: &[],
             tail: None,
             pattern: &[],
-            scan: false,
-            indexed: false,
         }
-    }
-
-    /// True if the probe pattern had a ground column, i.e. segments are
-    /// served from their posting lists rather than scanned; what the
-    /// evaluator's instrumentation counts.
-    pub fn used_index(&self) -> bool {
-        self.indexed
     }
 
     fn probe_segment(&self, segment: &'a Segment) -> SegmentProbe<'a> {
-        if self.scan {
-            SegmentProbe::All(segment.rows.iter())
-        } else {
-            segment.probe(self.pattern)
-        }
+        segment.probe(self.pattern)
     }
 }
 
@@ -1485,13 +1441,10 @@ mod tests {
         rel.insert(vec![Term::constant("a"), Term::constant("d")]);
         // Index probe on column 0 finds rows in every segment.
         let pattern = vec![Term::constant("a"), Term::variable("Y")];
-        let candidates = rel.candidates(&pattern);
-        assert!(candidates.used_index());
-        assert_eq!(candidates.count(), 3);
+        assert_eq!(rel.candidates(&pattern).count(), 3);
         // Unindexed scans also cross segments.
         let pattern = vec![Term::variable("X"), Term::variable("Y")];
         assert_eq!(rel.candidates(&pattern).count(), 3);
-        assert_eq!(rel.scan_candidates().count(), 3);
         // Insertion order is preserved across segments.
         let rows: Vec<&Vec<Term>> = rel.rows().collect();
         assert_eq!(rows[0][1], Term::constant("b"));

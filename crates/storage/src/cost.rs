@@ -25,7 +25,7 @@
 
 use crate::stats::StoreStatistics;
 use ontorew_model::prelude::*;
-use ontorew_unify::{is_cyclic, JoinStrategy};
+use ontorew_unify::{is_cyclic, join_order, JoinStrategy};
 use std::collections::BTreeSet;
 
 /// Fixed bookkeeping charge of a generic-join evaluation (pattern states,
@@ -92,32 +92,13 @@ fn distinct(statistics: &StoreStatistics, atom: &Atom, column: usize) -> f64 {
 /// Simulate the greedy index-nested-loop join: returns (cost, estimated
 /// satisfying assignments).
 fn backtracking_cost(statistics: &StoreStatistics, atoms: &[Atom]) -> (f64, f64) {
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
     let mut bound: BTreeSet<Variable> = BTreeSet::new();
     let mut prefix = 1.0f64;
     let mut cost = 0.0f64;
-    while !remaining.is_empty() {
-        // Mirror `eval::plan_order`: most already-bound variables, then most
-        // ground terms, then the smallest match estimate.
-        let (best, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let bound_vars = a
-                    .variable_set()
-                    .iter()
-                    .filter(|v| bound.contains(v))
-                    .count() as i64;
-                let ground = a.terms.iter().filter(|t| t.is_ground()).count() as i64;
-                let size = statistics.estimated_matches(a) as i64;
-                (
-                    i,
-                    bound_vars * 1_000_000 + ground * 10_000 - size.min(9_999),
-                )
-            })
-            .max_by_key(|(_, score)| *score)
-            .expect("remaining is non-empty");
-        let atom = remaining.remove(best);
+    // The evaluator's own order (`join_order` with statistics).
+    let estimate = |atom: &Atom| statistics.estimated_matches(atom);
+    for i in join_order(atoms, &[], &estimate, None) {
+        let atom = &atoms[i];
         let cardinality = statistics.cardinality(atom.predicate) as f64;
         if cardinality == 0.0 {
             // Missing relation: the join dies after touching the prefix.

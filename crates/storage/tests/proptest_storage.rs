@@ -1,12 +1,11 @@
 //! Property-based tests for query evaluation over a stored [`Instance`]: the
-//! evaluator must agree with the naive homomorphism-based evaluator on random
+//! evaluator must agree with a nested-loop reference evaluator on random
 //! data, whatever join strategy and configuration it runs with.
 
 use ontorew_model::prelude::*;
 use ontorew_storage::{
     evaluate_cq, evaluate_cq_instrumented, evaluate_ucq, EvalConfig, JoinStrategy, StoreStatistics,
 };
-use ontorew_unify::all_homomorphisms;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -74,11 +73,40 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     })
 }
 
-/// Reference evaluation: enumerate all homomorphisms of the body into the
-/// instance and project onto the answer variables, dropping tuples that
-/// keep a variable (an answer variable the body does not bind).
+/// Reference evaluation: every homomorphism of the body, by nested loops
+/// over [`Instance::atoms`] (no index, no atom order, no cut, no code of
+/// the search under test), projected onto the answer variables, dropping
+/// tuples that keep a variable (an answer variable the body does not bind).
 fn naive_answers(instance: &Instance, query: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
-    all_homomorphisms(&query.body, instance, &Substitution::new())
+    let facts: Vec<Atom> = instance.atoms().collect();
+    let mut partial = vec![Substitution::new()];
+    for atom in &query.body {
+        let mut next = Vec::new();
+        for sub in &partial {
+            for fact in facts.iter().filter(|f| f.predicate == atom.predicate) {
+                let mut extended = sub.clone();
+                let fits = atom
+                    .terms
+                    .iter()
+                    .zip(&fact.terms)
+                    .all(|(p, value)| match *p {
+                        Term::Variable(x) => match extended.get(x) {
+                            Some(bound) => bound == *value,
+                            None => {
+                                extended.bind(x, *value);
+                                true
+                            }
+                        },
+                        ground => ground == *value,
+                    });
+                if fits {
+                    next.push(extended);
+                }
+            }
+        }
+        partial = next;
+    }
+    partial
         .into_iter()
         .map(|h| {
             query

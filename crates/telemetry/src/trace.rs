@@ -9,10 +9,9 @@
 //!
 //! The model is deliberately synchronous: the serve layer handles each
 //! request start-to-finish on one worker thread, so a thread-local span
-//! stack reconstructs the tree exactly. Work the chase engine fans out to
-//! `crossbeam` scoped threads is *not* captured in the request's tree (the
-//! aggregate still shows up in the parent span's duration and in the
-//! metrics registry); that is a documented limitation, not a bug.
+//! stack reconstructs the tree exactly. Work fanned out to other threads
+//! would *not* be captured in the request's tree (the aggregate would still
+//! show up in the parent span's duration and in the metrics registry).
 
 use parking_lot::Mutex;
 use std::cell::RefCell;

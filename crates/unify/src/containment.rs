@@ -8,7 +8,7 @@
 //! Containment is the basis of the subsumption pruning used by the rewriting
 //! engine, and minimization (computing a core) keeps rewritings small.
 
-use crate::homomorphism::{find_homomorphism, freeze_atom, freeze_term};
+use crate::homomorphism::{find_homomorphism, freeze_atoms, freeze_term};
 use ontorew_model::prelude::*;
 
 /// True if `sub ⊑ sup`: every answer of `sub` is an answer of `sup` over every
@@ -18,7 +18,7 @@ pub fn is_contained_in(sub: &ConjunctiveQuery, sup: &ConjunctiveQuery) -> bool {
         return false;
     }
     // Freeze `sub` into its canonical database.
-    let canonical: Instance = sub.body.iter().map(freeze_atom).collect();
+    let canonical = freeze_atoms(&sub.body);
     // The homomorphism must map sup's answer variables onto sub's frozen
     // answer variables, position-wise.
     let mut seed = Substitution::new();

@@ -1,6 +1,6 @@
 //! Worst-case-optimal generic join: variable-at-a-time homomorphism search.
 //!
-//! The backtracking search of [`crate::homomorphism`] matches one *atom* at a
+//! The backtracking search of [`crate::search`] matches one *atom* at a
 //! time and therefore materialises every intermediate join result. On cyclic
 //! query shapes (triangles, cliques) those intermediates can be much larger
 //! than the final answer — the blowup worst-case-optimal join algorithms
@@ -29,7 +29,7 @@
 //! There is one search, [`generic_join_visit`]: it hands each complete
 //! substitution to a visitor instead of collecting it, so the query
 //! evaluator projects answers straight into its answer set while
-//! [`generic_join_all`] and the delta variants stay thin collecting
+//! [`generic_join_all`] and [`generic_join_delta`] stay thin collecting
 //! wrappers for the chase.
 //!
 //! Because an atom's pattern is fully ground exactly when its last variable
@@ -39,13 +39,12 @@
 //! therefore identical to [`crate::all_homomorphisms`] (proptested in this
 //! module), only the enumeration order differs.
 //!
-//! [`generic_join_delta`] mirrors [`crate::all_homomorphisms_delta`]'s
-//! semi-naive pivot decomposition: per pivot `i`, atoms before `i` draw from
+//! [`generic_join_delta`] runs the semi-naive pivot decomposition over the
+//! same per-pivot sources as [`crate::all_homomorphisms_delta`]
+//! (`delta_sources`): per pivot `i`, atoms before `i` draw from
 //! `full \ delta`, atom `i` from `delta`, atoms after `i` from `full`; the
-//! union over pivots is duplicate-free for exactly the same reason it is in
-//! the backtracking engine (the pivot is the first atom mapped into the
-//! delta). [`generic_join_delta_pivot`] exposes one pivot's share as a work
-//! unit for the parallel chase.
+//! union over pivots is duplicate-free because the pivot is the first atom
+//! mapped into the delta.
 
 use ontorew_model::instance::{intersect_sorted, pattern_matches};
 use ontorew_model::prelude::*;
@@ -58,7 +57,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JoinStrategy {
     /// Atom-at-a-time backtracking over index candidates
-    /// ([`crate::all_homomorphisms`]).
+    /// ([`crate::search::Backtrack`]).
     Backtracking,
     /// Variable-at-a-time worst-case-optimal join ([`generic_join_all`]).
     GenericJoin,
@@ -110,16 +109,17 @@ fn metrics() -> &'static JoinMetrics {
     })
 }
 
-/// Count one backtracking join evaluation (called by the backtracking entry
-/// points so `join_evaluations_total` covers both strategies).
+/// Count one backtracking join evaluation (called once per enumeration of
+/// the backtracking search, so `join_evaluations_total` covers both
+/// strategies).
 pub(crate) fn count_backtracking_evaluation() {
     metrics().evaluations_backtracking.inc();
 }
 
-/// Where an atom's matches are drawn from — the generic-join mirror of the
-/// backtracking engine's `DeltaSource`.
+/// Where an atom's matches are drawn from, in the generic join and in the
+/// backtracking search alike.
 #[derive(Clone, Copy)]
-enum Source<'a> {
+pub(crate) enum Source<'a> {
     /// The atom's predicate has no rows here: the join is empty.
     Absent,
     /// A plain relation (the full instance, or the delta's own relation).
@@ -133,7 +133,42 @@ enum Source<'a> {
     },
 }
 
+/// The sources of one pivot of the semi-naive decomposition, by original
+/// position: `full \ delta` before the pivot, the delta at the pivot, `full`
+/// after it.
+pub(crate) fn delta_sources<'a>(
+    atoms: &[Atom],
+    full: &'a Instance,
+    delta: &'a Instance,
+    pivot: usize,
+) -> Vec<Source<'a>> {
+    atoms
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| {
+            let predicate = atom.predicate;
+            match i.cmp(&pivot) {
+                std::cmp::Ordering::Less => match full.relation(predicate) {
+                    Some(rel) => Source::Old {
+                        rel,
+                        delta,
+                        predicate,
+                    },
+                    None => Source::Absent,
+                },
+                std::cmp::Ordering::Equal => Source::of(delta.relation(predicate)),
+                std::cmp::Ordering::Greater => Source::of(full.relation(predicate)),
+            }
+        })
+        .collect()
+}
+
 impl<'a> Source<'a> {
+    /// A plain relation, or [`Source::Absent`] when there is none.
+    pub(crate) fn of(relation: Option<&'a IndexedRelation>) -> Self {
+        relation.map(Source::Rel).unwrap_or(Source::Absent)
+    }
+
     /// Cheap upper bound on the rows matching `pattern` (exact posting-list
     /// lengths; the `Old` exclusion is ignored — an upper bound suffices for
     /// support ordering).
@@ -205,26 +240,11 @@ pub fn generic_join_visit(
     seed: &Substitution,
     visit: &mut dyn FnMut(&Substitution),
 ) {
-    metrics().evaluations_generic.inc();
-    let mut eval_span = span("join.eval");
-    eval_span.attr("strategy", "generic_join");
-    eval_span.attr("atoms", atoms.len());
-    let states: Vec<AtomState<'_>> = atoms
+    let sources = atoms
         .iter()
-        .map(|atom| AtomState {
-            pattern: seed.apply_atom(atom).terms,
-            source: relations
-                .relation(atom.predicate)
-                .map(Source::Rel)
-                .unwrap_or(Source::Absent),
-        })
+        .map(|atom| Source::of(relations.relation(atom.predicate)))
         .collect();
-    let mut answers = 0usize;
-    run(states, seed, &mut |sub| {
-        answers += 1;
-        visit(sub);
-    });
-    eval_span.attr("answers", answers);
+    join(atoms, sources, seed, visit);
 }
 
 /// [`generic_join_visit`], collected: every homomorphism from `atoms` into
@@ -251,58 +271,41 @@ pub fn generic_join_delta(
 ) -> Vec<Substitution> {
     let mut out = Vec::new();
     for pivot in 0..atoms.len() {
-        out.extend(generic_join_delta_pivot(atoms, full, delta, seed, pivot));
+        join(
+            atoms,
+            delta_sources(atoms, full, delta, pivot),
+            seed,
+            &mut |sub| out.push(sub.clone()),
+        );
     }
     out
 }
 
-/// One pivot's share of [`generic_join_delta`]: the homomorphisms whose
-/// first atom mapped into the delta is atom `pivot`. The union over pivots
-/// is disjoint — this is the work unit the parallel chase hands to worker
-/// threads for generic-join rules.
-pub fn generic_join_delta_pivot(
+/// One counted, traced generic join of `atoms` over one source per atom.
+fn join(
     atoms: &[Atom],
-    full: &Instance,
-    delta: &Instance,
+    sources: Vec<Source<'_>>,
     seed: &Substitution,
-    pivot: usize,
-) -> Vec<Substitution> {
-    debug_assert!(pivot < atoms.len());
+    visit: &mut dyn FnMut(&Substitution),
+) {
     metrics().evaluations_generic.inc();
     let mut eval_span = span("join.eval");
     eval_span.attr("strategy", "generic_join");
     eval_span.attr("atoms", atoms.len());
-    eval_span.attr("pivot", pivot);
     let states: Vec<AtomState<'_>> = atoms
         .iter()
-        .enumerate()
-        .map(|(i, atom)| AtomState {
+        .zip(sources)
+        .map(|(atom, source)| AtomState {
             pattern: seed.apply_atom(atom).terms,
-            source: if i == pivot {
-                delta
-                    .relation(atom.predicate)
-                    .map(Source::Rel)
-                    .unwrap_or(Source::Absent)
-            } else if i < pivot {
-                match full.relation(atom.predicate) {
-                    Some(rel) => Source::Old {
-                        rel,
-                        delta,
-                        predicate: atom.predicate,
-                    },
-                    None => Source::Absent,
-                }
-            } else {
-                full.relation(atom.predicate)
-                    .map(Source::Rel)
-                    .unwrap_or(Source::Absent)
-            },
+            source,
         })
         .collect();
-    let mut out = Vec::new();
-    run(states, seed, &mut |sub| out.push(sub.clone()));
-    eval_span.attr("answers", out.len());
-    out
+    let mut answers = 0usize;
+    run(states, seed, &mut |sub| {
+        answers += 1;
+        visit(sub);
+    });
+    eval_span.attr("answers", answers);
 }
 
 /// Drive the search: check atoms that are ground at entry, order the
@@ -537,10 +540,11 @@ pub fn is_cyclic(atoms: &[Atom]) -> bool {
 pub const GENERIC_JOIN_MIN_FACTS: usize = 128;
 
 /// The default per-body strategy when no measured cost model is in play:
-/// generic join for cyclic bodies over enough data, backtracking otherwise.
-/// The `crates/plan` cost model refines this choice with real statistics.
-pub fn choose_join_strategy(atoms: &[Atom], relations: &Instance) -> JoinStrategy {
-    if !is_cyclic(atoms) {
+/// generic join for cyclic bodies (`cyclic`, from [`is_cyclic`]; the chase
+/// caches it per rule) over enough data, backtracking otherwise. The
+/// statistics-fed cost model of the storage crate refines this choice.
+pub fn choose_join_strategy(atoms: &[Atom], cyclic: bool, relations: &Instance) -> JoinStrategy {
+    if !cyclic {
         return JoinStrategy::Backtracking;
     }
     let total: usize = atoms
@@ -696,18 +700,8 @@ mod tests {
             &generic_join_delta(&atoms, &full, &delta, &seed),
             &all_homomorphisms_delta(&atoms, &full, &delta, &seed),
         );
-        // Pivot shares are disjoint and their union is the whole.
-        let mut union = Vec::new();
-        for pivot in 0..atoms.len() {
-            union.extend(generic_join_delta_pivot(
-                &atoms, &full, &delta, &seed, pivot,
-            ));
-        }
-        assert_same_set(
-            &union,
-            &all_homomorphisms_delta(&atoms, &full, &delta, &seed),
-        );
-        let keys = sorted_keys(&union);
+        // The pivots' shares are disjoint: no substitution comes twice.
+        let keys = sorted_keys(&generic_join_delta(&atoms, &full, &delta, &seed));
         for pair in keys.windows(2) {
             assert_ne!(pair[0], pair[1], "duplicate across pivots");
         }
@@ -774,28 +768,26 @@ mod tests {
 
     #[test]
     fn strategy_chooser_needs_cyclic_and_big() {
+        let path = [
+            Atom::new("e", vec![v("X"), v("Y")]),
+            Atom::new("e", vec![v("Y"), v("Z")]),
+        ];
         let mut db = Instance::new();
         for i in 0..200 {
             db.insert_fact("e", &[&format!("n{i}"), &format!("n{}", (i * 7) % 200)]);
         }
         assert_eq!(
-            choose_join_strategy(&triangle_atoms(), &db),
+            choose_join_strategy(&triangle_atoms(), true, &db),
             JoinStrategy::GenericJoin
         );
         assert_eq!(
-            choose_join_strategy(
-                &[
-                    Atom::new("e", vec![v("X"), v("Y")]),
-                    Atom::new("e", vec![v("Y"), v("Z")]),
-                ],
-                &db
-            ),
+            choose_join_strategy(&path, is_cyclic(&path), &db),
             JoinStrategy::Backtracking
         );
         let mut small = Instance::new();
         small.insert_fact("e", &["a", "b"]);
         assert_eq!(
-            choose_join_strategy(&triangle_atoms(), &small),
+            choose_join_strategy(&triangle_atoms(), true, &small),
             JoinStrategy::Backtracking
         );
     }

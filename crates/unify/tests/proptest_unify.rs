@@ -3,6 +3,7 @@
 use ontorew_model::prelude::*;
 use ontorew_unify::*;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn term_strategy() -> impl Strategy<Value = Term> {
     prop_oneof![
@@ -33,7 +34,138 @@ fn ground_atom_strategy() -> impl Strategy<Value = Atom> {
         })
 }
 
+/// Ground facts tagged with whether they belong to the delta.
+fn facts_strategy() -> impl Strategy<Value = Vec<(Atom, bool)>> {
+    prop::collection::vec(
+        (ground_atom_strategy(), (0..2usize).prop_map(|b| b == 1)),
+        0..24,
+    )
+}
+
+/// A seed binding some of the pattern variables to constants.
+fn seed_strategy() -> impl Strategy<Value = Substitution> {
+    prop::collection::vec(
+        (
+            prop::sample::select(vec!["X", "Y", "Z", "W"]),
+            prop::sample::select(vec!["a", "b", "c", "d"]),
+        ),
+        0..3,
+    )
+    .prop_map(|bindings| {
+        bindings
+            .into_iter()
+            .map(|(v, c)| (Variable::new(v), Term::constant(c)))
+            .collect()
+    })
+}
+
+/// Every homomorphism of `atoms` into `instance` extending `seed`, by nested
+/// loops over [`Instance::atoms`]: no index, no atom order, no cut, and no
+/// code of the search under test.
+fn nested_loop(atoms: &[Atom], instance: &Instance, seed: &Substitution) -> Vec<Substitution> {
+    let facts: Vec<Atom> = instance.atoms().collect();
+    let mut partial = vec![seed.clone()];
+    for atom in atoms {
+        let mut next = Vec::new();
+        for sub in &partial {
+            for fact in facts.iter().filter(|f| f.predicate == atom.predicate) {
+                let mut extended = sub.clone();
+                let fits = atom
+                    .terms
+                    .iter()
+                    .zip(&fact.terms)
+                    .all(|(p, value)| match *p {
+                        Term::Variable(x) => match extended.get(x) {
+                            Some(bound) => bound == *value,
+                            None => {
+                                extended.bind(x, *value);
+                                true
+                            }
+                        },
+                        ground => ground == *value,
+                    });
+                if fits {
+                    next.push(extended);
+                }
+            }
+        }
+        partial = next;
+    }
+    partial
+}
+
+/// The substitutions as a set of printed keys, and whether none came twice.
+fn key_set(subs: &[Substitution]) -> (BTreeSet<String>, bool) {
+    let keys: BTreeSet<String> = subs.iter().map(|s| format!("{s:?}")).collect();
+    let distinct = keys.len() == subs.len();
+    (keys, distinct)
+}
+
 proptest! {
+    /// The one backtracking search finds exactly the nested loop's
+    /// homomorphisms, and so does the generic join, under random seeds.
+    #[test]
+    fn search_matches_the_nested_loop_and_the_generic_join(
+        atoms in prop::collection::vec(atom_strategy(), 1..4),
+        facts in facts_strategy(),
+        seed in seed_strategy(),
+    ) {
+        let instance: Instance = facts.into_iter().map(|(atom, _)| atom).collect();
+        let (reference, _) = key_set(&nested_loop(&atoms, &instance, &seed));
+        let (search, distinct) = key_set(&all_homomorphisms(&atoms, &instance, &seed));
+        prop_assert!(distinct, "the search repeated a homomorphism");
+        prop_assert_eq!(&search, &reference);
+        let (generic, _) = key_set(&generic_join_all(&atoms, &instance, &seed));
+        prop_assert_eq!(&generic, &reference);
+    }
+
+    /// The delta search finds exactly the homomorphisms into `full` that are
+    /// not homomorphisms into `full \ delta`, each once.
+    #[test]
+    fn delta_search_is_the_difference(
+        atoms in prop::collection::vec(atom_strategy(), 1..4),
+        facts in facts_strategy(),
+        seed in seed_strategy(),
+    ) {
+        let full: Instance = facts.iter().map(|(atom, _)| atom.clone()).collect();
+        let delta: Instance = facts
+            .iter()
+            .filter(|(_, in_delta)| *in_delta)
+            .map(|(atom, _)| atom.clone())
+            .collect();
+        let old: Instance = full.atoms().filter(|atom| !delta.contains(atom)).collect();
+        let (all_full, _) = key_set(&nested_loop(&atoms, &full, &seed));
+        let (all_old, _) = key_set(&nested_loop(&atoms, &old, &seed));
+        let expected: BTreeSet<String> = all_full.difference(&all_old).cloned().collect();
+        let (found, distinct) = key_set(&all_homomorphisms_delta(&atoms, &full, &delta, &seed));
+        prop_assert!(distinct, "the delta search repeated a homomorphism");
+        prop_assert_eq!(found, expected);
+    }
+
+    /// An existence check succeeds exactly when the enumeration is
+    /// non-empty, and what it finds is one of the enumerated homomorphisms.
+    #[test]
+    fn existence_agrees_with_enumeration(
+        atoms in prop::collection::vec(atom_strategy(), 1..4),
+        facts in facts_strategy(),
+        seed in seed_strategy(),
+    ) {
+        let instance: Instance = facts.into_iter().map(|(atom, _)| atom).collect();
+        let (all, _) = key_set(&nested_loop(&atoms, &instance, &seed));
+        let found = find_homomorphism(&atoms, &instance, &seed);
+        prop_assert_eq!(
+            found.is_some(),
+            !all_homomorphisms(&atoms, &instance, &seed).is_empty()
+        );
+        match found {
+            Some(found) => {
+                let key = format!("{:?}", found);
+                prop_assert!(all.contains(&key));
+            }
+            None => prop_assert!(all.is_empty()),
+        }
+    }
+
     /// The computed unifier is a unifier, and unifiability agrees with it.
     #[test]
     fn unifier_unifies(a in atom_strategy(), b in atom_strategy()) {

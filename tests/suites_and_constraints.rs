@@ -7,7 +7,7 @@ use ontorew::obda::{
     check_constraints, cross_check, ConstraintSet, Egd, NegativeConstraint, ObdaSystem, Strategy,
 };
 use ontorew::rewrite::{rewrite, RewriteConfig};
-use ontorew::storage::{evaluate_cq_instrumented, EvalConfig, StoreStatistics};
+use ontorew::storage::{evaluate_cq_instrumented, EvalConfig, JoinStrategy, StoreStatistics};
 use ontorew::workloads::{
     lubm_style_abox, lubm_style_ontology, lubm_style_queries, sensor_network_abox,
     sensor_network_ontology, sensor_network_queries, supply_chain_abox, supply_chain_ontology,
@@ -145,8 +145,11 @@ fn instrumented_evaluation_matches_default_evaluation_on_suite_queries() {
             let baseline = ontorew::storage::evaluate_cq(&store, disjunct);
             for config in [
                 EvalConfig {
-                    reorder_atoms: false,
-                    use_indexes: false,
+                    strategy: Some(JoinStrategy::Backtracking),
+                    ..EvalConfig::default()
+                },
+                EvalConfig {
+                    strategy: Some(JoinStrategy::GenericJoin),
                     ..EvalConfig::default()
                 },
                 EvalConfig {
