@@ -1,8 +1,8 @@
 //! The running examples of the paper, as ready-made programs and queries.
 //!
 //! These constructors are used by the test-suite, the example binaries and
-//! the benchmark harness (experiments E1–E4 of DESIGN.md) so that every
-//! reproduction refers to a single definition of each example.
+//! the planner's unit tests, so that every reproduction refers to a single
+//! definition of each example.
 
 use ontorew_model::prelude::*;
 use ontorew_model::{parse_program, parse_query};

@@ -3,8 +3,7 @@
 //! When both strategies are complete they must return the same certain
 //! answers; when only one is complete, the other must return a subset (both
 //! are sound). This module runs the comparison and reports any discrepancy —
-//! it is used by the `rewriting_soundness` experiment (E9) and by the
-//! integration tests as an executable statement of Theorem 1.
+//! the integration tests use it as an executable statement of Theorem 1.
 
 use crate::system::{ObdaSystem, Strategy};
 use ontorew_model::prelude::*;

@@ -1123,8 +1123,8 @@ impl Planner {
 
     /// Compile `query` under a *forced* plan kind, bypassing the
     /// classification-driven choice. This is the escape hatch behind the
-    /// deprecated `ontorew_obda::Strategy` override and the forced arms of
-    /// the E13 experiment; the provenance still reports guarantees honestly
+    /// deprecated `ontorew_obda::Strategy` override and of the tests that
+    /// compare plan kinds; the provenance still reports guarantees honestly
     /// (a forced rewrite of a non-terminating saturation is flagged as a
     /// sound approximation).
     ///
@@ -2641,6 +2641,21 @@ mod tests {
             .execute(&store);
         assert!(rewritten.is_exact());
         assert!(execution.provenance.reason.contains("forced"));
+
+        // Example 2: the rewriting diverges, so a forced rewrite is cut at
+        // its budget and not exact, while the planner's chase plan is.
+        let planner = Planner::new(example2());
+        let mut store = Instance::new();
+        store.insert_fact("s", &["c", "c", "a"]);
+        store.insert_fact("t", &["d", "a"]);
+        let forced = planner
+            .prepare_forced(&example2_query(), PlanKind::Rewrite)
+            .unwrap()
+            .execute(&store);
+        assert!(!forced.is_exact(), "a cut rewriting is an approximation");
+        let chosen = planner.prepare(&example2_query()).execute(&store);
+        assert_eq!(chosen.provenance.plan, PlanKind::Chase);
+        assert!(chosen.is_exact() && chosen.answers.as_boolean());
     }
 
     /// The explain dump names the plan, the reason and the cost artifacts.

@@ -347,6 +347,32 @@ mod tests {
         let certain =
             ontorew_chase::certain_answers(&p, &db, &q, &ontorew_chase::ChaseConfig::default());
         assert!(certain.answers.as_boolean());
+
+        // Example 2's data with and without s(c, c, a), depths 1 to 6: the
+        // approximation never answers what the chase does not, and as the
+        // depth grows it keeps every disjunct and every answer it had.
+        let mut partial = Instance::new();
+        partial.insert_fact("t", &["d", "a"]);
+        partial.insert_fact("t", &["d2", "c"]);
+        partial.insert_fact("r", &["e", "f"]);
+        let mut full = partial.clone();
+        full.insert_fact("s", &["c", "c", "a"]);
+        let config = ontorew_chase::ChaseConfig::default();
+        let certain = |db| ontorew_chase::certain_answers(&p, db, &q, &config);
+        assert!(!certain(&partial).answers.as_boolean());
+        assert!(certain(&full).answers.as_boolean());
+        let mut previous = (0, false);
+        for depth in 1..=6 {
+            let approx = approximate_rewrite(&p, &q, depth);
+            let answers =
+                |db| crate::answer::evaluate_rewriting(&approx.rewriting, &q, db).as_boolean();
+            assert!(!answers(&partial), "unsound at depth {depth}");
+            let (disjuncts, answered) = (approx.rewriting.len(), answers(&full));
+            assert!(disjuncts >= previous.0, "disjuncts lost at depth {depth}");
+            assert!(answered || !previous.1, "answer lost at depth {depth}");
+            previous = (disjuncts, answered);
+        }
+        assert!(previous.1, "depth 6 misses the certain answer");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!                [--slow-query-ms N] [--trace-ring N]
 //! ```
 //!
-//! Serves the built-in university ontology (the E8/E12 workload) with a
-//! synthetic ABox of `--students` students preloaded (0 for an empty store).
+//! Serves the built-in university ontology with a synthetic ABox of
+//! `--students` students preloaded (0 for an empty store).
 //! With `--data-dir`, tenants are durable: every commit is WAL-logged under
 //! the directory before it is acknowledged, a background compactor
 //! checkpoints tenants to on-disk segments, and a restart with the same
@@ -150,7 +150,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    // Machine-readable readiness line (scripts/serve_smoke.sh waits for it);
+    // Machine-readable readiness line (tests/server_process.rs waits for it);
     // flush explicitly because stdout is block-buffered under a pipe.
     println!("listening on {}", handle.addr());
     let _ = std::io::Write::flush(&mut std::io::stdout());

@@ -71,7 +71,7 @@ pub mod tenant;
 pub use cache::{CacheConfig, CacheStats, ShardedCache, ShardedPlanCache, ShardedRewritingCache};
 pub use client::{ClientError, ExplainReply, QueryReply, RetryPolicy, ServeClient};
 pub use durability::{Compactor, CompactorConfig, CompactorStats};
-pub use metrics::{percentile, LatencyStats, ServeMetrics};
+pub use metrics::{LatencyStats, ServeMetrics};
 pub use pool::ThreadPool;
 pub use proto::{format_fact, parse_fact, parse_request, Request, VERBS};
 pub use server::{serve, serve_registry, ServerConfig, ServerHandle};

@@ -12,17 +12,6 @@ use ontorew_telemetry::Histogram;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
-/// Ceil-rank percentile over an ascending-sorted sample (0 when empty).
-/// Shared by the E12 experiment and the `load_gen` binary, which compute
-/// exact percentiles over their own sample vectors.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[idx.clamp(1, sorted.len()) - 1]
-}
-
 /// Latency summary derived from the histogram.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyStats {
@@ -124,14 +113,6 @@ mod tests {
         assert_eq!(stats.p50_us, 64);
         assert_eq!(stats.p99_us, 100);
         assert_eq!(stats.max_us, 100);
-    }
-
-    #[test]
-    fn exact_percentile_helper_is_unchanged() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50);
-        assert_eq!(percentile(&sorted, 0.99), 99);
-        assert_eq!(percentile(&[], 0.5), 0);
     }
 
     #[test]

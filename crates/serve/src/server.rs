@@ -1294,7 +1294,7 @@ mod tests {
                 && l.contains("verb=\"QUERY\"")),
             "no per-tenant QUERY series in {block:?}"
         );
-        // ...as are the engine-layer families the smoke scrape relies on.
+        // ...as are the engine-layer families.
         for family in ["queries_total", "chase_rounds_total", "plan_plans_total"] {
             assert!(
                 families.contains(family),

@@ -3,11 +3,10 @@
 //!
 //! Every engine layer (chase, rewrite, plan, storage, serve) records into
 //! the process-global registry ([`metrics::global`]); the serve layer
-//! exposes it on the wire as Prometheus text exposition (`METRICS` verb)
-//! and NDJSON (`run_experiments --metrics`). Request-scoped traces are
-//! collected per thread ([`trace::install_collector`]) and land in a
-//! bounded ring ([`trace::global_ring`]) for the `TRACE` toggle and the
-//! slow-query log.
+//! exposes it on the wire as Prometheus text exposition (`METRICS` verb).
+//! Request-scoped traces are collected per thread
+//! ([`trace::install_collector`]) and land in a bounded ring
+//! ([`trace::global_ring`]) for the `TRACE` toggle and the slow-query log.
 
 pub mod metrics;
 pub mod trace;

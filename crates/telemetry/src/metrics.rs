@@ -423,40 +423,6 @@ impl Registry {
         }
         out
     }
-
-    /// Render the registry as newline-delimited JSON, one object per
-    /// series — the `run_experiments --metrics` dump format.
-    pub fn render_ndjson(&self) -> String {
-        let mut out = String::new();
-        let families = self.families.read();
-        for (name, family) in families.iter() {
-            for (labels, series) in &family.series {
-                let labels_json: Vec<String> = labels
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json_string(k), json_string(v)))
-                    .collect();
-                let value = match series {
-                    Series::Counter(c) => format!("\"value\":{}", c.get()),
-                    Series::Gauge(g) => format!("\"value\":{}", g.get()),
-                    Series::Histogram(h) => format!(
-                        "\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{}",
-                        h.count(),
-                        scale_value(h.sum(), family.scale),
-                        scale_value(h.max(), family.scale),
-                        scale_value(h.quantile(0.50), family.scale),
-                        scale_value(h.quantile(0.99), family.scale),
-                    ),
-                };
-                out.push_str(&format!(
-                    "{{\"metric\":{},\"kind\":{},\"labels\":{{{}}},{value}}}\n",
-                    json_string(name),
-                    json_string(family.kind.exposition_name()),
-                    labels_json.join(","),
-                ));
-            }
-        }
-        out
-    }
 }
 
 fn scale_value(v: u64, scale: f64) -> String {
@@ -465,22 +431,6 @@ fn scale_value(v: u64, scale: f64) -> String {
     } else {
         format!("{}", v as f64 / scale)
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn render_labels(labels: &LabelSet, le: Option<String>) -> String {
@@ -681,19 +631,5 @@ mod tests {
         assert!(text.contains("lat_seconds_sum 1\n"), "{text}");
         assert!(text.contains("lat_seconds_count 1"));
         assert!(text.contains("le=\"+Inf\""));
-    }
-
-    #[test]
-    fn ndjson_dump_is_one_object_per_series() {
-        let registry = Registry::new();
-        registry.counter("c", "help", &[("tenant", "hr")]).add(7);
-        registry.histogram("h", "help", &[]).observe(9);
-        let dump = registry.render_ndjson();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"metric\":\"c\""));
-        assert!(lines[0].contains("\"tenant\":\"hr\""));
-        assert!(lines[0].contains("\"value\":7"));
-        assert!(lines[1].contains("\"count\":1"));
     }
 }

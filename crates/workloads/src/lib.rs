@@ -1,12 +1,13 @@
 //! # ontorew-workloads
 //!
-//! Synthetic TGD ontologies and data generators for the benchmark harness.
+//! Synthetic TGD ontologies and data generators for the tests and the
+//! benchmark.
 //!
 //! The paper reports no datasets of its own (it is a PhD-symposium paper), so
-//! the scaling experiments of EXPERIMENTS.md run on parameterised synthetic
-//! families that exercise the relevant structure: linear chains and class
-//! hierarchies (the DL-Lite-style workloads §1 motivates), star-shaped join
-//! rules, sticky/non-sticky families, and random TGD sets. Every generator is
+//! the tests and the benchmark run on parameterised synthetic families that
+//! exercise the relevant structure: linear chains and class hierarchies (the
+//! DL-Lite-style workloads §1 motivates), star-shaped join rules,
+//! sticky/non-sticky families, and random TGD sets. Every generator is
 //! seeded, so runs are reproducible.
 
 #![warn(missing_docs)]

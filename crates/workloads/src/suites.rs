@@ -14,8 +14,8 @@
 //!   leave the DL-Lite fragment while (mostly) staying FO-rewritable — the
 //!   territory where SWR/WR earn their keep.
 //! * [`supply_chain_ontology`] — a deliberately *non*-FO-rewritable workload
-//!   (transitive part-of plus a feedback rule) used by the approximation and
-//!   materialization experiments.
+//!   (transitive part-of plus a feedback rule) for the approximation and
+//!   materialization-fallback tests.
 //! * [`registrar_ontology`] — a pure-Datalog curriculum workload (transitive
 //!   prerequisite closure, so not FO-rewritable, but weakly acyclic): the
 //!   chase-territory suite whose selective queries exercise the goal-driven
@@ -207,8 +207,8 @@ pub fn sensor_network_queries() -> Vec<ConjunctiveQuery> {
 }
 
 /// A supply-chain ontology that is *not* FO-rewritable: transitive part-of
-/// plus a feedback rule. Used by the approximation (E10) and
-/// materialization-fallback experiments.
+/// plus a feedback rule, for approximation and materialization-fallback
+/// tests.
 pub fn supply_chain_ontology() -> TgdProgram {
     parse(
         "[P1] component(X) -> part(X).\n\

@@ -172,6 +172,13 @@ fn semi_naive_chase_matches_naive_on_the_paper_examples() {
             equivalent_up_to_null_renaming(&semi.instance, &naive.instance),
             "naive and semi-naive chases diverged on {program}"
         );
+        // Recording the derivation graph must not change what is derived.
+        let tracked =
+            ontorew::chase::chase(program, data, &ChaseConfig::default().with_provenance(true));
+        assert!(
+            equivalent_up_to_null_renaming(&semi.instance, &tracked.instance),
+            "provenance tracking changed the chase of {program}"
+        );
     }
 
     // And the certain answers of the university query agree exactly.
